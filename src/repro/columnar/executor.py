@@ -68,6 +68,7 @@ from ..fo.plan import (
     SemiJoin,
     Union,
 )
+from ..obs.config import RunConfig
 from .dictionary import ColumnarStore, columnar_store
 from .relation import ColumnarRelation, fuse, gather, pick
 
@@ -79,20 +80,16 @@ __all__ = [
     "prime_plan_values",
     "columnar_stats",
     "reset_columnar_stats",
-    "COLUMNAR_MIN_FACTS",
     "COLUMNAR_COST_THRESHOLD",
 ]
 
 Row = Tuple
 
-#: ``method="auto"`` never routes to the columnar backend below this
-#: many facts — encoding whole relations costs more than small tuple
-#: runs save.  Env override: ``REPRO_COLUMNAR_MIN_FACTS``.
-COLUMNAR_MIN_FACTS = 4000
-
-#: ...and only above this estimated plan cost (the PR 6 System-R model):
-#: cheap plans finish before the batch machinery warms up.  Env
-#: override: ``REPRO_COLUMNAR_COST``.
+#: ``method="auto"`` routes to the columnar backend only above this
+#: estimated plan cost (the System-R cost model), and only on databases
+#: of at least ``RunConfig.columnar_min_facts`` facts: cheap plans
+#: finish before the batch machinery warms up.  Env override:
+#: ``REPRO_COLUMNAR_COST``.
 COLUMNAR_COST_THRESHOLD = 50_000.0
 
 _STATS: Dict[str, int] = {}
@@ -124,11 +121,6 @@ def columnar_stats() -> Dict[str, int]:
     of ``engine.metrics()``.
     """
     return dict(_STATS)
-
-
-def _min_facts() -> int:
-    raw = os.environ.get("REPRO_COLUMNAR_MIN_FACTS", "").strip()
-    return int(raw) if raw.isdigit() else COLUMNAR_MIN_FACTS
 
 
 def _cost_threshold() -> float:
@@ -792,8 +784,7 @@ def prefer_columnar(compiled, db: Database, config=None) -> bool:
     """
     if not compiled.free:
         return False
-    threshold = (config.resolved_columnar_min_facts()
-                 if config is not None else _min_facts())
+    threshold = (config or RunConfig.from_env()).resolved_columnar_min_facts()
     if db.size() < threshold:
         return False
     key = (id(db), db.clock, id(compiled.plan))

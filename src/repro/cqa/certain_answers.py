@@ -1,42 +1,52 @@
-"""Certain answers for non-Boolean queries.
+"""Certain answers, and the one method dispatch behind every engine call.
 
 Section 1 of the paper: "The extension to queries with free variables
 is easy, essentially because free variables can be treated as
 constants."  A tuple c⃗ is a *certain answer* of q(x⃗) on **db** when
-the Boolean query q_[x⃗↦c⃗] is true in every repair of **db**.
+the Boolean query q_[x⃗↦c⃗] is true in every repair of **db**.  Boolean
+certainty is the ``free=()`` case: its answer set is ``{()}`` when q is
+certain and empty otherwise, so
+:meth:`repro.cqa.engine.CertaintyEngine.certain` is a ``free=()`` call
+of :func:`certain_answers`, and one dispatcher serves both.
 
-This module implements exactly that reduction, with four strategies:
+Strategies (the ``method`` of :class:`repro.obs.ExecutionOptions`):
 
 ``brute``
-    Ground every candidate tuple and run brute-force certainty.
+    Ground every candidate tuple and enumerate repairs.
+``interpreted``
+    Ground every candidate tuple and run Algorithm 1 on the database.
 ``rewriting``
     Build ONE consistent first-order rewriting φ(x⃗) with free
     variables (placeholder grounding, then re-opening), and evaluate it
     per candidate with the guarded Python evaluator.
 ``compiled``
-    Lower φ(x⃗) to a set-at-a-time relational plan and return every
-    certain answer from a single plan execution — no per-candidate
-    loop at all.
+    Lower φ(x⃗) to a set-at-a-time relational plan (cached in the
+    process-wide plan cache) and return every certain answer from one
+    plan execution; a sentence runs in the executor's short-circuit
+    probe mode instead.
+``columnar``
+    Execute the same plan with the vectorized batch executor
+    (:mod:`repro.columnar`); sentences keep the row executor's probe
+    (a delegation counted in the columnar stats).
 ``sql``
-    Compile φ(x⃗) into a single SQL SELECT returning all certain
-    answers at once — consistent query answering as one query over the
-    dirty database.
+    Run the same plan as one SELECT inside a persistent store's sqlite
+    mirror (:mod:`repro.storage.pushdown`); off-store, compile the
+    rewriting to formula SQL on a freshly loaded in-memory connection.
 ``parallel``
     Split the database into block-preserving shards and run the
     compiled plan on every shard in a forked worker pool
     (:mod:`repro.parallel`); falls back to ``compiled`` in-process
     whenever sharding cannot help (Boolean query, tiny database,
     ``jobs=1``, ...).
-``columnar``
-    Execute the same compiled plan with the vectorized batch executor
-    (:mod:`repro.columnar`): dictionary-encoded int columns and batch
-    hash joins over fused int keys.  ``auto`` upgrades ``compiled`` to
-    ``columnar`` when :func:`repro.columnar.prefer_columnar` — database
-    size plus the cost model's plan estimate — says batching pays, and
-    to ``sql`` first when :func:`repro.storage.pushdown.prefer_sql`
-    says a persistent store's sqlite mirror should take the query
-    (mirror-backed database, Adom*-free plan, ``REPRO_SQL_MIN_FACTS``
-    reached).
+``auto``
+    ``brute`` outside FO.  Otherwise compile once and hand that plan to
+    ``sql`` when :func:`repro.storage.pushdown.prefer_sql` says a
+    store's mirror should take it, else to ``columnar`` when
+    :func:`repro.columnar.prefer_columnar` says batching pays, else to
+    ``compiled``.  ``auto`` with ``jobs`` set means ``parallel``.
+
+Every method but ``brute`` needs Theorem 4.3's rewriting and raises a
+coded :class:`~repro.cqa.rewriting.NotInFO` for a query outside FO.
 
 The candidate space is enumerated from rows of the positive atoms
 (complete, because a repair is a subset of the database): free
@@ -52,12 +62,12 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.atoms import Atom
-from ..core.classify import Verdict, classify
+from ..core.classify import Classification, Verdict, classify
 from ..core.query import Query, QueryError
 from ..core.terms import Constant, PlaceholderConstant, Variable, is_variable
 from ..db.database import Database
-from ..db.sqlite_backend import create_tables, load_database
-from ..fo.compile import plan_cache
+from ..db.sqlite_backend import create_tables, load_database, run_sentence_sql
+from ..fo.compile import CompiledQuery, plan_cache
 from ..fo.eval import Evaluator
 from ..fo.formula import (
     And,
@@ -72,15 +82,23 @@ from ..fo.formula import (
 )
 from ..fo.simplify import simplify_fixpoint
 from ..fo.sql import SQLCompiler, decode_value
-from ..obs.options import (
-    _UNSET,
-    close_tracer as _close_tracer,
-    merge_legacy_options,
-    open_tracer as _open_tracer,
-)
+from ..lint import lint_query
+from ..obs.options import ExecutionOptions, close_tracer, open_tracer
+from ..obs.profile import PlanProfile
+from ..obs.trace import NULL_TRACER
 from .brute_force import is_certain_brute_force
 from .is_certain import is_certain
 from .rewriting import NotInFO, Rewriter
+
+#: The serial methods that need the FO rewriting — what both
+#: cross-validation helpers run next to ``brute``.
+SERIAL_FO_METHODS = ("interpreted", "rewriting", "compiled", "sql", "columnar")
+
+#: The methods that execute the compiled plan of the rewriting.
+_PLAN_METHODS = ("compiled", "columnar", "sql")
+
+_TRUE: FrozenSet[Tuple] = frozenset({()})
+_FALSE: FrozenSet[Tuple] = frozenset()
 
 
 class OpenQuery:
@@ -115,13 +133,27 @@ class OpenQuery:
         return self.query.substitute(mapping)
 
     @property
+    def classification(self) -> Classification:
+        """Theorem 4.3's verdict on :attr:`boolean_form`."""
+        return _classify_open(self.query, self.free)
+
+    @property
     def in_fo(self) -> bool:
         """Does every grounding admit a consistent FO rewriting?"""
-        return classify(self.boolean_form).verdict is Verdict.IN_FO
+        return self.classification.verdict is Verdict.IN_FO
 
     def __repr__(self) -> str:
         names = ", ".join(v.name for v in self.free)
         return f"({names}) <- {self.query!r}"
+
+
+@lru_cache(maxsize=512)
+def _classify_open(
+    query: Query, free: Tuple[Variable, ...]
+) -> Classification:
+    # Memoized like the rewritings below: every FO-only call checks the
+    # verdict, and it is a function of the query alone.
+    return classify(OpenQuery(query, free).boolean_form)
 
 
 @lru_cache(maxsize=512)
@@ -291,172 +323,177 @@ def candidate_values(
     return out
 
 
+def require_fo(open_query: OpenQuery, method: str) -> None:
+    """Fail fast with the coded lint diagnostics when an FO-only
+    method is requested for a query outside Theorem 4.3(2)."""
+    if open_query.in_fo:
+        return
+    errors = lint_query(open_query.boolean_form).errors
+    detail = "; ".join(d.one_line() for d in errors)
+    raise NotInFO(
+        f"method {method!r} needs a consistent FO rewriting, which "
+        f"Theorem 4.3 withholds for this query: "
+        f"{detail or open_query.classification.reason}",
+        diagnostics=errors,
+    )
+
+
 def certain_answers(
     open_query: OpenQuery,
     db: Database,
     options=None,
     *,
     tracer=None,
-    method=_UNSET,
-    jobs=_UNSET,
-    config=_UNSET,
 ) -> FrozenSet[Tuple]:
     """All certain answers of q(x⃗) on db.
 
     ``options`` is an :class:`repro.obs.ExecutionOptions` — or a bare
     method string as shorthand, or its strict ``dict`` wire form (the
-    body of a ``repro serve`` request).  ``auto`` picks ``compiled``
-    when the grounded query is in FO, otherwise ``brute``; the
-    ``jobs`` field sets the worker count of the ``parallel`` method
-    (default: the CPU count, capped by ``max_workers``) and — as in the
-    CLI — upgrades ``auto`` to ``parallel``.  Serial strategies reject
-    it at :class:`~repro.obs.ExecutionOptions` construction: they have
-    nothing to parallelize.
+    body of a ``repro serve`` request).  See the module docstring for
+    the methods and ``auto`` routing; the ``jobs`` field sets the
+    worker count of the ``parallel`` method (default: the CPU count,
+    capped by ``max_workers``).  With no free variables the result is
+    ``{()}`` when the query is certain and empty otherwise.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) records phase spans and,
-    for the ``compiled``/``parallel`` methods, a per-operator
+    for the plan-executing methods, a per-operator
     :class:`repro.obs.PlanProfile` attached via ``tracer.add_profile``;
     without an explicit tracer, the options' ``trace`` / ``trace_file``
     fields create (and flush) one.  Tracing never changes the answers —
     the parity tests in ``tests/test_obs.py`` pin that down for every
     method.
-
-    The ``method=`` / ``jobs=`` / ``config=`` keywords are deprecated
-    shims that fold into ``options`` with a :class:`DeprecationWarning`
-    (an *error* for repro-internal callers); see ``docs/SERVE.md`` for
-    the migration table.
     """
-    opts = merge_legacy_options(
-        options, where="certain_answers",
-        method=method, jobs=jobs, config=config,
-    )
-    tracer, own = _open_tracer(opts, tracer)
+    opts = ExecutionOptions.coerce(options)
+    tracer, own = open_tracer(opts, tracer)
     try:
-        return _certain_answers(open_query, db, opts, tracer)
+        return _dispatch(open_query, db, opts, tracer)
     finally:
-        _close_tracer(opts, tracer, own)
+        close_tracer(opts, tracer, own)
 
 
-def _certain_answers(
-    open_query: OpenQuery, db: Database, opts, tracer
+def _dispatch(
+    open_query: OpenQuery, db: Database, opts: ExecutionOptions, tracer
 ) -> FrozenSet[Tuple]:
-    from ..obs.trace import NULL_TRACER
-
+    """Resolve the method and run it: one path per backend, traced or
+    not (the :data:`NULL_TRACER` spans are no-ops), with the one
+    ``auto`` routing site routing the plan it then executes."""
     t = tracer if tracer is not None else NULL_TRACER
     method = opts.resolved_method
-    run_config = opts.run_config()
-    if method == "auto":
-        if open_query.in_fo:
-            method = "compiled"
-            from ..columnar import prefer_columnar
-            from ..storage.pushdown import prefer_sql
+    auto = method == "auto"
+    if auto:
+        method = "compiled" if open_query.in_fo else "brute"
+    if method != "brute":
+        require_fo(open_query, method)
+    name = "certain-answers" if open_query.free else "certain"
+    with t.span(name) as span:
+        if method in _PLAN_METHODS:
+            with t.span("rewrite-and-compile"):
+                compiled = plan_cache.get_or_compile(
+                    _guarded_open_rewriting(open_query), db, open_query.free
+                )
+            if auto:
+                method = _route(compiled, db, opts)
+            span.tag(method=method)
+            return _execute(method, compiled, open_query, db, t)
+        span.tag(method=method)
+        if method == "parallel":
+            from ..parallel import parallel_certain_answers
 
-            compiled = plan_cache.get_or_compile(
-                _guarded_open_rewriting(open_query), db, open_query.free
-            )
-            if prefer_sql(compiled, db, config=run_config):
-                method = "sql"
-            elif prefer_columnar(compiled, db, config=run_config):
-                method = "columnar"
-        else:
-            method = "brute"
-    if method == "parallel":
-        from ..parallel import parallel_certain_answers
-
-        with t.span("certain-answers", method=method):
             return parallel_certain_answers(
-                open_query, db, jobs=opts.jobs, config=run_config,
-                tracer=tracer if t.enabled else None,
+                open_query, db, jobs=opts.jobs, config=opts.run_config(),
+                tracer=t,
             )
-    if method == "brute":
-        with t.span("certain-answers", method=method) as span:
-            candidates = candidate_values(open_query, db)
-            span.count("candidates", len(candidates))
-            return frozenset(
-                c for c in candidates
-                if is_certain_brute_force(open_query.grounded(c), db)
-            )
-    if method == "interpreted":
-        with t.span("certain-answers", method=method) as span:
-            candidates = candidate_values(open_query, db)
-            span.count("candidates", len(candidates))
-            return frozenset(
-                c for c in candidates
-                if is_certain(open_query.grounded(c), db)
-            )
-    if method == "rewriting":
-        with t.span("certain-answers", method=method) as span:
-            with t.span("rewrite"):
-                formula = open_rewriting(open_query)
-            evaluator = Evaluator(formula, db)
-            candidates = candidate_values(open_query, db)
-            span.count("candidates", len(candidates))
-            return frozenset(
-                c for c in candidates
-                if evaluator.evaluate(dict(zip(open_query.free, c)))
-            )
-    if method == "compiled":
-        if not t.enabled:
-            formula = _guarded_open_rewriting(open_query)
-            compiled = plan_cache.get_or_compile(formula, db, open_query.free)
-            return compiled.rows(db)
-        from ..obs.profile import PlanProfile
+        return _per_candidate(method, open_query, db, t, span)
 
-        with t.span("certain-answers", method=method):
-            with t.span("rewrite-and-compile"):
-                formula = _guarded_open_rewriting(open_query)
-                compiled = plan_cache.get_or_compile(
-                    formula, db, open_query.free
-                )
-            profile = PlanProfile()
-            with t.span("execute") as span:
-                rows = compiled.rows(db, profile=profile)
-                span.count("rows_out", len(rows))
-            t.add_profile(compiled.plan, profile, method=method,
-                          phase="execute")
-            return rows
-    if method == "columnar":
-        from ..columnar import columnar_rows
 
-        if not t.enabled:
-            formula = _guarded_open_rewriting(open_query)
-            compiled = plan_cache.get_or_compile(formula, db, open_query.free)
-            return columnar_rows(compiled, db)
-        from ..obs.profile import PlanProfile
+def _route(compiled: CompiledQuery, db: Database,
+           opts: ExecutionOptions) -> str:
+    """The backend ``auto`` hands an FO query's compiled plan to."""
+    from ..columnar import prefer_columnar
+    from ..storage.pushdown import prefer_sql
 
-        with t.span("certain-answers", method=method):
-            with t.span("rewrite-and-compile"):
-                formula = _guarded_open_rewriting(open_query)
-                compiled = plan_cache.get_or_compile(
-                    formula, db, open_query.free
-                )
-            profile = PlanProfile()
-            with t.span("execute") as span:
-                rows = columnar_rows(compiled, db, profile=profile)
-                span.count("rows_out", len(rows))
-            t.add_profile(compiled.plan, profile, method=method,
-                          phase="execute")
-            return rows
-    if method == "sql":
-        from ..storage.pushdown import count_legacy_sql, native_sql_answers
+    config = opts.run_config()
+    if prefer_sql(compiled, db, config=config):
+        return "sql"
+    if prefer_columnar(compiled, db, config=config):
+        return "columnar"
+    return "compiled"
 
-        with t.span("certain-answers", method=method):
-            # A persistent store runs the same guarded compiled plan the
-            # in-memory executor would, translated to one SELECT inside
-            # its integer-encoded mirror; answers come back as columnar
-            # code batches, never per-row decoded tuples.  Off-store (or
-            # for an untranslatable plan) the legacy formula-SQL path
-            # loads a fresh in-memory connection per call.
-            if open_query.in_fo:
-                formula = _guarded_open_rewriting(open_query)
-                compiled = plan_cache.get_or_compile(
-                    formula, db, open_query.free)
-                rows = native_sql_answers(compiled, db)
-                if rows is not None:
-                    return rows
+
+def _execute(method: str, compiled: CompiledQuery, open_query: OpenQuery,
+             db: Database, t) -> FrozenSet[Tuple]:
+    """Run the compiled plan on one backend: the short-circuit probe
+    for a sentence, one execution returning every row otherwise."""
+    boolean = not open_query.free
+    phase = "probe" if boolean else "execute"
+    profile = PlanProfile() if t.enabled and method != "sql" else None
+    with t.span(phase) as span:
+        if method == "compiled":
+            run = compiled.holds if boolean else compiled.rows
+            result = run(db, profile=profile)
+        elif method == "columnar":
+            from ..columnar import columnar_holds, columnar_rows
+
+            run = columnar_holds if boolean else columnar_rows
+            result = run(compiled, db, profile=profile)
+        else:
+            result = _sql(compiled, open_query, db)
+        if boolean:
+            span.count("holds", int(result))
+        else:
+            span.count("rows_out", len(result))
+    if profile is not None:
+        t.add_profile(compiled.plan, profile, method=method, phase=phase)
+    if boolean:
+        return _TRUE if result else _FALSE
+    return result
+
+
+def _sql(compiled: CompiledQuery, open_query: OpenQuery, db: Database):
+    """``method="sql"``: a bool for a sentence, else the answer rows."""
+    from ..storage.pushdown import (
+        count_legacy_sql,
+        native_sql_answers,
+        native_sql_holds,
+    )
+
+    # A persistent store translates the compiled plan to one SELECT
+    # inside its integer-encoded mirror; answers come back as columnar
+    # code batches, never per-row decoded tuples.  Off-store (or for an
+    # untranslatable plan) the legacy formula-SQL path loads a fresh
+    # in-memory connection per call.
+    if not open_query.free:
+        result = native_sql_holds(compiled, db)
+        if result is None:
             count_legacy_sql()
-            return _certain_answers_sql(open_query, db)
-    raise ValueError(f"unknown method {method!r}")
+            result = run_sentence_sql(compiled.formula, db)
+        return result
+    rows = native_sql_answers(compiled, db)
+    if rows is None:
+        count_legacy_sql()
+        rows = _certain_answers_sql(open_query, db)
+    return rows
+
+
+def _per_candidate(method: str, open_query: OpenQuery, db: Database, t,
+                   span) -> FrozenSet[Tuple]:
+    """``brute`` / ``interpreted`` / ``rewriting``: decide every
+    candidate tuple on its own."""
+    if method == "rewriting":
+        with t.span("rewrite"):
+            formula = open_rewriting(open_query)
+        evaluator = Evaluator(formula, db)
+
+        def holds(c: Tuple) -> bool:
+            return evaluator.evaluate(dict(zip(open_query.free, c)))
+    else:
+        decide = is_certain_brute_force if method == "brute" else is_certain
+
+        def holds(c: Tuple) -> bool:
+            return decide(open_query.grounded(c), db)
+    candidates = candidate_values(open_query, db)
+    span.count("candidates", len(candidates))
+    return frozenset(c for c in candidates if holds(c))
 
 
 def certain_answers_sql_query(open_query: OpenQuery, db: Database) -> str:
@@ -486,13 +523,11 @@ def certain_answers_sql_query(open_query: OpenQuery, db: Database) -> str:
 
 
 def _certain_answers_sql(
-    open_query: OpenQuery, db: Database, conn=None
+    open_query: OpenQuery, db: Database
 ) -> FrozenSet[Tuple]:
-    """Run the single-SELECT form, on ``conn`` when a persistent
-    store's mirror supplies one (kept open), else on a freshly loaded
-    in-memory connection (closed afterwards)."""
-    own_conn = conn is None
-    conn = load_database(db) if conn is None else conn
+    """Run the single-SELECT form on a freshly loaded in-memory
+    connection."""
+    conn = load_database(db)
     try:
         formula = open_rewriting(open_query)
         needed = schemas_of(formula)
@@ -503,8 +538,7 @@ def _certain_answers_sql(
         rows = conn.execute(sql).fetchall()
         return frozenset(tuple(decode_value(v) for v in row) for row in rows)
     finally:
-        if own_conn:
-            conn.close()
+        conn.close()
 
 
 def cross_validate_answers(
@@ -519,11 +553,8 @@ def cross_validate_answers(
     """
     out = {"brute": certain_answers(open_query, db, "brute")}
     if open_query.in_fo:
-        out["interpreted"] = certain_answers(open_query, db, "interpreted")
-        out["rewriting"] = certain_answers(open_query, db, "rewriting")
-        out["compiled"] = certain_answers(open_query, db, "compiled")
-        out["sql"] = certain_answers(open_query, db, "sql")
-        out["columnar"] = certain_answers(open_query, db, "columnar")
+        for method in SERIAL_FO_METHODS:
+            out[method] = certain_answers(open_query, db, method)
         if parallel_jobs > 0:
             from ..parallel import parallel_certain_answers
 

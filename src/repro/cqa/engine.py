@@ -1,62 +1,29 @@
-"""High-level certainty engine: one entry point, five interchangeable
-solving strategies, and a cross-validation helper.
+"""High-level certainty engine: one entry point per question over the
+seven interchangeable strategies, and a cross-validation helper.
 
-Strategies
-----------
-``brute``
-    Exhaustive repair enumeration (always applicable, exponential).
-``interpreted``
-    Algorithm 1 run directly on the database (FO data complexity;
-    requires an acyclic attack graph and weakly-guarded negation).
-``rewriting``
-    Compile the consistent FO rewriting once, evaluate with the Python
-    active-domain evaluator (tuple-at-a-time).
-``compiled``
-    Lower the rewriting to a set-at-a-time relational plan
-    (:mod:`repro.fo.compile`), cached in the process-wide plan cache;
-    the default fast path for queries in FO.
-``sql``
-    Compile the rewriting to a single SQL query, run it on sqlite —
-    against the delta-maintained mirror of a persistent store
-    (:mod:`repro.storage.pushdown`), or by loading a plain in-memory
-    database into a fresh connection.
-``parallel``
-    Shard the database block-by-block and run the compiled plan in a
-    forked worker pool (:mod:`repro.parallel`).  Only the open
-    (free-variable) form decomposes over shards, so for Boolean
-    certainty this method is a documented serial fallback to
-    ``compiled`` — counted in :meth:`CertaintyEngine.parallel_stats`.
-``columnar``
-    Run the same compiled plan through the vectorized batch executor
-    (:mod:`repro.columnar`): dictionary-encoded int columns, batch
-    hash joins, selection vectors.  Boolean certainty keeps the row
-    executor's probe-mode short-circuit (a documented delegation,
-    counted in the columnar stats).
+``brute``, ``interpreted``, ``rewriting``, ``compiled``, ``sql``,
+``parallel`` and ``columnar`` (plus ``auto`` routing) are described in
+:mod:`repro.cqa.certain_answers`, whose single dispatcher serves both
+questions: :meth:`CertaintyEngine.certain` is its ``free=()`` call —
+Boolean certainty is the answer set ``{()}`` or nothing — and
+:meth:`CertaintyEngine.certain_answers` its open form.  Sentences keep
+the short-circuit probe path on every plan backend; ``parallel`` runs
+them serially, counting a ``boolean`` fallback in the parallel metrics,
+because certainty does not decompose over shards.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..core.classify import Classification, Verdict, classify
+from ..core.classify import Classification, Verdict
 from ..core.query import Query
 from ..db.database import Database
-from ..db.sqlite_backend import run_sentence_sql
-from ..fo.compile import plan_cache
-from ..fo.eval import Evaluator
 from ..fo.formula import Formula
 from ..lint import LintResult, lint_query
-from ..obs.options import (
-    _UNSET,
-    close_tracer as _close_tracer,
-    merge_legacy_options,
-    open_tracer as _open_tracer,
-)
-from .brute_force import is_certain_brute_force
-from .is_certain import is_certain
-from .rewriting import NotInFO, consistent_rewriting
+from .certain_answers import SERIAL_FO_METHODS, OpenQuery, require_fo
+from .rewriting import consistent_rewriting
 
 METHODS = ("brute", "interpreted", "rewriting", "compiled", "sql",
            "parallel", "columnar")
@@ -90,7 +57,8 @@ class CertaintyEngine:
 
     def __init__(self, query: Query):
         self.query = query
-        self.classification: Classification = classify(query)
+        self._boolean = OpenQuery(query, ())
+        self.classification: Classification = self._boolean.classification
         self.lint: LintResult = lint_query(query)
         self._rewriting: Optional[Formula] = None
 
@@ -99,19 +67,6 @@ class CertaintyEngine:
         """Does the query admit a consistent FO rewriting (Thm 4.3)?"""
         return self.classification.verdict is Verdict.IN_FO
 
-    def _require_fo(self, method: str) -> None:
-        """Fail fast with the coded lint diagnostics when an FO-only
-        method is requested for a query outside Theorem 4.3(2)."""
-        if self.in_fo:
-            return
-        detail = "; ".join(d.one_line() for d in self.lint.errors)
-        raise NotInFO(
-            f"method {method!r} needs a consistent FO rewriting, which "
-            f"Theorem 4.3 withholds for this query: "
-            f"{detail or self.classification.reason}",
-            diagnostics=self.lint.errors,
-        )
-
     @property
     def rewriting(self) -> Formula:
         """The consistent FO rewriting (constructed lazily, cached)."""
@@ -119,131 +74,24 @@ class CertaintyEngine:
             self._rewriting = consistent_rewriting(self.query)
         return self._rewriting
 
-    def certain(self, db: Database, options=None, *, tracer=None,
-                method=_UNSET, jobs=_UNSET, config=_UNSET) -> bool:
+    def certain(self, db: Database, options=None, *, tracer=None) -> bool:
         """Is q true in every repair of db?
 
         ``options`` is an :class:`repro.obs.ExecutionOptions` (or a
         bare method string as shorthand, or its strict ``dict`` wire
-        form — the body of a ``repro serve`` request).  ``"auto"`` uses
-        the compiled plan when the query is in FO and falls back to
-        brute force otherwise; on a mirror-backed persistent store
-        holding at least ``sql_min_facts`` facts (and an Adom*-free
-        plan) it pushes down to SQL instead
-        (:func:`repro.storage.pushdown.prefer_sql`).  ``"parallel"``
-        accepts the ``jobs`` field for symmetry with
-        :meth:`certain_answers`, but Boolean certainty does not
-        decompose over shards (see ``docs/PERFORMANCE.md``), so it runs
-        the serial compiled plan and counts a ``boolean`` fallback in
-        the parallel metrics.
-
-        ``tracer`` (a :class:`repro.obs.Tracer`) records method spans
-        and — for ``compiled`` — a per-operator probe profile; it never
-        changes the answer.  Without an explicit tracer, the options'
-        ``trace`` / ``trace_file`` fields create (and flush) one.
-
-        The ``method=`` / ``jobs=`` / ``config=`` keywords are
-        deprecated shims that fold into ``options`` with a
-        :class:`DeprecationWarning` (an *error* for repro-internal
-        callers); see ``docs/SERVE.md`` for the migration table.
+        form — the body of a ``repro serve`` request).  This is the
+        ``free=()`` call of :func:`repro.cqa.certain_answers.certain_answers`,
+        so methods, ``auto`` routing and ``tracer`` behave as there;
+        the probe span and profile of a sentence are tagged
+        ``phase="probe"``.
         """
-        opts = merge_legacy_options(
-            options, where="CertaintyEngine.certain",
-            method=method, jobs=jobs, config=config,
-        )
-        tracer, own = _open_tracer(opts, tracer)
-        try:
-            return self._certain(db, opts, tracer)
-        finally:
-            _close_tracer(opts, tracer, own)
+        from .certain_answers import certain_answers
 
-    def _certain(self, db: Database, opts, tracer) -> bool:
-        from ..obs.trace import NULL_TRACER
-
-        t = tracer if tracer is not None else NULL_TRACER
-        method = opts.resolved_method
-        run_config = opts.run_config()
-        if method == "auto":
-            if self.in_fo:
-                method = "compiled"
-                from ..storage.pushdown import prefer_sql
-
-                compiled = plan_cache.get_or_compile(self.rewriting, db)
-                if prefer_sql(compiled, db, config=run_config):
-                    method = "sql"
-            else:
-                method = "brute"
-        if method == "brute":
-            with t.span("certain", method=method):
-                return is_certain_brute_force(self.query, db)
-        if method == "interpreted":
-            self._require_fo(method)
-            with t.span("certain", method=method):
-                return is_certain(self.query, db)
-        if method == "rewriting":
-            self._require_fo(method)
-            with t.span("certain", method=method):
-                return Evaluator(self.rewriting, db).evaluate()
-        if method == "compiled":
-            self._require_fo(method)
-            if not t.enabled:
-                return plan_cache.get_or_compile(self.rewriting, db).holds(db)
-            from ..obs.profile import PlanProfile
-
-            with t.span("certain", method=method):
-                with t.span("rewrite-and-compile"):
-                    compiled = plan_cache.get_or_compile(self.rewriting, db)
-                profile = PlanProfile()
-                with t.span("probe") as span:
-                    result = compiled.holds(db, profile=profile)
-                    span.count("holds", int(result))
-                t.add_profile(compiled.plan, profile, method=method,
-                              phase="probe")
-                return result
-        if method == "sql":
-            self._require_fo(method)
-            from ..storage.pushdown import count_legacy_sql, native_sql_holds
-
-            with t.span("certain", method=method):
-                # A persistent store runs the compiled plan natively
-                # inside its integer-encoded sqlite mirror (no per-query
-                # load, no row shuttling); a plain in-memory database —
-                # or a plan the SQL compiler cannot translate — keeps
-                # the legacy formula-SQL load-and-run path.
-                compiled = plan_cache.get_or_compile(self.rewriting, db)
-                result = native_sql_holds(compiled, db)
-                if result is not None:
-                    return result
-                count_legacy_sql()
-                return run_sentence_sql(self.rewriting, db)
-        if method == "columnar":
-            self._require_fo(method)
-            from ..columnar import columnar_holds
-
-            if not t.enabled:
-                return columnar_holds(
-                    plan_cache.get_or_compile(self.rewriting, db), db)
-            from ..obs.profile import PlanProfile
-
-            with t.span("certain", method=method):
-                with t.span("rewrite-and-compile"):
-                    compiled = plan_cache.get_or_compile(self.rewriting, db)
-                profile = PlanProfile()
-                with t.span("probe") as span:
-                    result = columnar_holds(compiled, db, profile=profile)
-                    span.count("holds", int(result))
-                t.add_profile(compiled.plan, profile, method=method,
-                              phase="probe")
-                return result
-        if method == "parallel":
-            self._require_fo(method)
-            return bool(self.certain_answers(
-                db, (), opts.replace(method="parallel"), tracer=tracer))
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        return () in certain_answers(self._boolean, db, options,
+                                     tracer=tracer)
 
     def certain_answers(self, db: Database, free=(), options=None, *,
-                        tracer=None, method=_UNSET, jobs=_UNSET,
-                        config=_UNSET):
+                        tracer=None):
         """All certain answers of q(x⃗) on db, for answer variables
         ``free``.
 
@@ -251,17 +99,13 @@ class CertaintyEngine:
         reusing this engine's query; ``options`` is an
         :class:`repro.obs.ExecutionOptions` (or a method string), where
         ``method="parallel"`` with ``jobs=N`` runs the sharded
-        worker-pool path.  The ``method=`` / ``jobs=`` / ``config=``
-        keywords are deprecated shims (see :meth:`certain`).
+        worker-pool path.
         """
-        from .certain_answers import OpenQuery, certain_answers
+        from .certain_answers import certain_answers
 
-        opts = merge_legacy_options(
-            options, where="CertaintyEngine.certain_answers",
-            method=method, jobs=jobs, config=config,
-        )
-        return certain_answers(OpenQuery(self.query, free), db, opts,
-                               tracer=tracer)
+        free = tuple(free)
+        open_query = OpenQuery(self.query, free) if free else self._boolean
+        return certain_answers(open_query, db, options, tracer=tracer)
 
     def metrics(self):
         """A unified :class:`repro.obs.EngineMetrics` snapshot.
@@ -269,44 +113,11 @@ class CertaintyEngine:
         Bundles the plan-cache, parallel-executor, and incremental-view
         counters (plus any sources registered on the default
         :class:`repro.obs.MetricsRegistry`) into one typed object with a
-        stable ``to_dict()``/``to_json()`` shape.  Supersedes the
-        deprecated static trio ``plan_cache_stats`` / ``parallel_stats``
-        / ``view_stats``.
+        stable ``to_dict()``/``to_json()`` shape.
         """
         from ..obs.metrics import collect_metrics
 
         return collect_metrics()
-
-    @staticmethod
-    def plan_cache_stats() -> Dict[str, int]:
-        """Deprecated: use ``engine.metrics().plan_cache`` instead.
-
-        Counters of the process-wide plan cache (hits/misses/...).
-        """
-        warnings.warn(
-            "CertaintyEngine.plan_cache_stats() is deprecated; use "
-            "engine.metrics().plan_cache",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return plan_cache.stats()
-
-    @staticmethod
-    def parallel_stats() -> Dict[str, object]:
-        """Deprecated: use ``engine.metrics().parallel`` instead.
-
-        Aggregated counters of the sharded parallel executor (shard
-        and worker counts, partition/merge/exec wall time, serial
-        fallbacks by reason)."""
-        warnings.warn(
-            "CertaintyEngine.parallel_stats() is deprecated; use "
-            "engine.metrics().parallel",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..parallel import parallel_stats
-
-        return parallel_stats()
 
     def register_view(self, db: Database, free=(), tracer=None):
         """Materialize this query as an incrementally maintained view.
@@ -321,30 +132,14 @@ class CertaintyEngine:
         """
         from ..incremental import view_manager
 
-        self._require_fo("incremental")
+        require_fo(self._boolean, "incremental")
         return view_manager(db, tracer=tracer).register_view(self.query, free)
 
-    @staticmethod
-    def view_stats() -> Dict[str, int]:
-        """Deprecated: use ``engine.metrics().views`` instead.
-
-        Process-wide incremental-view counters (deltas applied, rows
-        touched, fallback recomputes)."""
-        warnings.warn(
-            "CertaintyEngine.view_stats() is deprecated; use "
-            "engine.metrics().views",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..incremental import view_stats
-
-        return view_stats()
-
     def cross_validate(self, db: Database) -> CrossValidation:
-        """Run every applicable strategy and collect the answers."""
+        """Run every applicable serial strategy and collect the answers."""
         results = {"brute": self.certain(db, "brute")}
         if self.in_fo:
-            for method in ("interpreted", "rewriting", "compiled", "sql"):
+            for method in SERIAL_FO_METHODS:
                 results[method] = self.certain(db, method)
         return CrossValidation(results)
 

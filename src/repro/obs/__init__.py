@@ -11,9 +11,8 @@ compiled, sql, incremental, parallel); this package makes all of them
   (:class:`PlanProfile`) and the ``EXPLAIN ANALYZE``-style renderers
   behind ``repro plan --analyze`` and ``repro certain --trace``;
 * :mod:`repro.obs.metrics` — :class:`EngineMetrics` /
-  :class:`MetricsRegistry`, the one consistent schema subsuming the
-  former ``plan_cache_stats`` / ``parallel_stats`` / ``view_stats``
-  static trio (now deprecated shims on the engine);
+  :class:`MetricsRegistry`, the one consistent schema over the plan
+  cache, parallel executor and incremental-view counters;
 * :mod:`repro.obs.config` — :class:`RunConfig`, consolidating the
   env-var sprawl (``REPRO_MAX_WORKERS``, ``REPRO_PARALLEL_MIN_FACTS``,
   ``REPRO_TRACE_FILE``, ``BENCH_PARALLEL_SMOKE``) behind one dataclass
@@ -26,8 +25,8 @@ compiled, sql, incremental, parallel); this package makes all of them
   validator used by the ``trace-smoke`` CI job against
   ``docs/trace.schema.json``.
 
-See ``docs/OBSERVABILITY.md`` for the span model, the metrics schema,
-and the migration table from the old static stats endpoints.
+See ``docs/OBSERVABILITY.md`` for the span model and the metrics
+schema.
 """
 
 from .config import RunConfig

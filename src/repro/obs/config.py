@@ -7,10 +7,11 @@ The knobs used to live in scattered ``os.environ`` reads —
 ``REPRO_TRACE_FILE``.  :class:`RunConfig` consolidates them: construct
 one explicitly for programmatic control, or :meth:`RunConfig.from_env`
 to read the environment with explicit keyword overrides winning over
-env values.  ``certain_answers(..., config=)``, the engine methods,
-and the CLI all accept one; omitted fields fall back to the same
-defaults the env-var reads always had, so existing callers see no
-behaviour change.
+env values.  Every size gate resolves here (``resolved_min_facts``,
+``resolved_sql_min_facts``, ``resolved_columnar_min_facts``), so each
+knob has one default and one env variable.  Engine calls reach it
+through :meth:`repro.obs.ExecutionOptions.run_config`: set option
+fields win, unset ones fall back to the environment.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Unified engine metrics: one schema over every subsystem's counters.
 
-Before this module the engine exposed three *static* stats endpoints —
-``CertaintyEngine.plan_cache_stats()`` / ``parallel_stats()`` /
-``view_stats()`` — process-global, inconsistently shaped, and
-undocumented.  They survive as deprecated shims; the replacement is
+The engine's counters live in process-global, differently shaped
+stats dicts (plan cache, parallel executor, incremental views); the
+one place to read them is
 
 >>> engine = CertaintyEngine(query)          # doctest: +SKIP
 >>> engine.metrics()                         # doctest: +SKIP
@@ -17,8 +16,7 @@ all.  The parallel source includes the **merged worker-side counters**
 back per call, fixing the old behaviour where ``repro certain --jobs
 --stats`` silently dropped everything that happened inside workers.
 
-See ``docs/OBSERVABILITY.md`` for the full schema and the migration
-table from the old static endpoints.
+See ``docs/OBSERVABILITY.md`` for the full schema.
 """
 
 from __future__ import annotations

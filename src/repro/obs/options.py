@@ -14,16 +14,12 @@ Accepted by :meth:`repro.cqa.engine.CertaintyEngine.certain`,
 :meth:`~repro.cqa.engine.CertaintyEngine.certain_answers`, and the
 module-level :func:`repro.cqa.certain_answers.certain_answers` as the
 ``options`` parameter, which also takes a bare method string
-(``"compiled"``) as blessed shorthand.  The legacy ``method=`` /
-``jobs=`` / ``config=`` keywords remain as shims that fold into an
-``ExecutionOptions`` and raise :class:`DeprecationWarning` — escalated
-to errors for repro-internal callers by the ``filterwarnings`` entry in
-``pyproject.toml``.
+(``"compiled"``) as blessed shorthand.  It is the only way to pass a
+method, a worker count or a knob to those calls.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
@@ -34,7 +30,6 @@ __all__ = [
     "KNOWN_METHODS",
     "OptionsError",
     "close_tracer",
-    "merge_legacy_options",
     "open_tracer",
 ]
 
@@ -56,8 +51,7 @@ _NONNEGATIVE_FIELDS = (
 )
 
 #: RunConfig fields an ExecutionOptions shares (same names, same
-#: semantics); used to lift a legacy ``config=RunConfig`` and to build
-#: :meth:`ExecutionOptions.run_config`.
+#: semantics); :meth:`ExecutionOptions.from_env` reads them.
 _SHARED_CONFIG_FIELDS = (
     "jobs", "max_workers", "parallel_min_facts", "shard_factor",
     "trace", "trace_file", "sql_min_facts", "sql_stmt_cache",
@@ -288,72 +282,3 @@ def close_tracer(
     """Flush an engine-owned tracer's span JSONL when configured."""
     if own and tracer is not None and opts.trace_file:
         tracer.write_jsonl(opts.trace_file)
-
-
-_UNSET: Any = object()
-
-
-def merge_legacy_options(
-    options: Union[None, str, Mapping[str, Any], ExecutionOptions],
-    *,
-    where: str,
-    method: Any = _UNSET,
-    jobs: Any = _UNSET,
-    config: Any = _UNSET,
-    stacklevel: int = 3,
-) -> ExecutionOptions:
-    """Fold the deprecated ``method=`` / ``jobs=`` / ``config=``
-    keywords into an :class:`ExecutionOptions`.
-
-    Passing any of them (non-``None``) warns with
-    :class:`DeprecationWarning` attributed to the *caller* of ``where``
-    — which the ``filterwarnings`` entry in ``pyproject.toml``
-    escalates to an error for repro-internal callers, so the library
-    itself can never regress onto its own deprecated surface.  Explicit
-    fields of ``options`` win over the legacy keywords; a legacy
-    ``config=RunConfig`` contributes only fields ``options`` leaves
-    unset.
-    """
-    opts = ExecutionOptions.coerce(options)
-    legacy = []
-    if method is not _UNSET and method is not None:
-        legacy.append("method=")
-    if jobs is not _UNSET and jobs is not None:
-        legacy.append("jobs=")
-    if config is not _UNSET and config is not None:
-        legacy.append("config=")
-    if not legacy:
-        return opts
-    warnings.warn(
-        f"{where}: the {'/'.join(legacy)} keyword(s) are deprecated; "
-        f"pass ExecutionOptions (or a method string) as `options` "
-        f"instead — see docs/SERVE.md for the migration table",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    updates: Dict[str, Any] = {}
-    if method is not _UNSET and method is not None and opts.method == "auto":
-        updates["method"] = method
-    if jobs is not _UNSET and jobs is not None and opts.jobs is None:
-        updates["jobs"] = jobs
-    if updates:
-        opts = replace(opts, **updates)
-    if config is not _UNSET and config is not None:
-        lifted: Dict[str, Any] = {}
-        for name in _SHARED_CONFIG_FIELDS:
-            value = getattr(config, name, None)
-            if name == "trace":
-                if value and not opts.trace:
-                    lifted["trace"] = True
-            elif name == "jobs":
-                # The historical contract lifted config.jobs only for
-                # the parallel path; keep that so a serial method plus
-                # a jobs-bearing RunConfig stays legal.
-                if (value is not None and opts.jobs is None
-                        and opts.method in ("auto", "parallel")):
-                    lifted["jobs"] = value
-            elif value is not None and getattr(opts, name) is None:
-                lifted[name] = value
-        if lifted:
-            opts = replace(opts, **lifted)
-    return opts

@@ -2,10 +2,10 @@
 
 A :class:`Span` is one timed region of work — a certainty call, a plan
 execution, one shard group, one view maintenance pass — carrying free-
-form ``tags`` (set at creation) and integer ``counters`` (accumulated
-while the span is open).  A :class:`Tracer` maintains the span stack,
-owns the finished span forest, and serializes it as JSONL (one record
-per span, parent links by id) for offline attribution.
+form ``tags`` (set at creation or while open) and integer ``counters``
+(accumulated while the span is open).  A :class:`Tracer` maintains the
+span stack, owns the finished span forest, and serializes it as JSONL
+(one record per span, parent links by id) for offline attribution.
 
 The default throughout the engine is :data:`NULL_TRACER`, a
 :class:`NullTracer` whose every method is a no-op returning shared
@@ -60,6 +60,11 @@ class Span:
     def count(self, name: str, n: int = 1) -> None:
         """Add ``n`` to the span's ``name`` counter."""
         self.counters[name] = self.counters.get(name, 0) + n
+
+    def tag(self, **tags: Any) -> None:
+        """Set tags known only once the span is open (e.g. the method
+        ``auto`` routed to)."""
+        self.tags.update(tags)
 
     def __repr__(self) -> str:
         return f"Span({self.name!r}, {self.duration_ms:.3f}ms)"
@@ -230,6 +235,9 @@ class _NullSpan:
     duration_ms = 0.0
 
     def count(self, name: str, n: int = 1) -> None:
+        pass
+
+    def tag(self, **tags: Any) -> None:
         pass
 
     def __enter__(self) -> "_NullSpan":

@@ -48,7 +48,6 @@ __all__ = [
     "plan_has_adom",
 ]
 
-DEFAULT_MIN_FACTS = 2000
 # Shards per worker.  Far more shards than workers, so each shard's
 # per-relation indexes stay cache-resident: on the benchmark host the
 # sharded execution sum keeps dropping until ~64 shards (see
@@ -154,18 +153,6 @@ def resolve_jobs(jobs: Optional[int],
     return max(1, n)
 
 
-def _min_facts(min_facts: Optional[int],
-               config: Optional[RunConfig] = None) -> int:
-    if min_facts is not None:
-        return min_facts
-    if config is not None and config.parallel_min_facts is not None:
-        return config.parallel_min_facts
-    raw = os.environ.get("REPRO_PARALLEL_MIN_FACTS", "").strip()
-    if raw.isdigit():
-        return int(raw)
-    return DEFAULT_MIN_FACTS
-
-
 def _fallback(open_query, db: Database, reason: str,
               tracer=NULL_TRACER, backend: str = "tuple") -> FrozenSet[Tuple]:
     from ..cqa.certain_answers import certain_answers
@@ -175,8 +162,7 @@ def _fallback(open_query, db: Database, reason: str,
     reasons[reason] = reasons.get(reason, 0) + 1
     tracer.event("parallel-fallback", reason=reason)
     method = "columnar" if backend == "columnar" else "compiled"
-    return certain_answers(open_query, db, method,
-                           tracer=tracer if tracer.enabled else None)
+    return certain_answers(open_query, db, method, tracer=tracer)
 
 
 def parallel_certain_answers(
@@ -187,7 +173,7 @@ def parallel_certain_answers(
     shard_factor: Optional[int] = None,
     config: Optional[RunConfig] = None,
     tracer=None,
-    backend: Optional[str] = None,
+    backend: str = "tuple",
 ) -> FrozenSet[Tuple]:
     """All certain answers of q(x⃗) on db, computed shard-parallel.
 
@@ -205,20 +191,17 @@ def parallel_certain_answers(
     merge spans, one span per worker group (shards owned, rows
     produced, in-shard execution time), and fallback events.
 
-    ``backend`` selects the per-shard executor: ``"tuple"`` (default;
-    also via ``REPRO_PARALLEL_BACKEND``) runs the row executor,
-    ``"columnar"`` the vectorized one — the parent then primes every
-    shard's columnar store with its own shared value dictionary
-    *before* forking, so workers ship compact int columns instead of
-    pickled tuple sets (see :mod:`repro.parallel.pool`).  Serial
-    fallbacks preserve the backend choice.
+    ``backend`` selects the per-shard executor: ``"tuple"`` (default)
+    runs the row executor, ``"columnar"`` the vectorized one — the
+    parent then primes every shard's columnar store with its own
+    shared value dictionary *before* forking, so workers ship compact
+    int columns instead of pickled tuple sets (see
+    :mod:`repro.parallel.pool`).  Serial fallbacks preserve the backend
+    choice.
     """
     from ..cqa.certain_answers import _guarded_open_rewriting
 
     t = tracer if tracer is not None else NULL_TRACER
-    if backend is None:
-        raw = os.environ.get("REPRO_PARALLEL_BACKEND", "").strip().lower()
-        backend = raw if raw in ("tuple", "columnar") else "tuple"
     if shard_factor is None:
         shard_factor = (config.shard_factor if config is not None
                         and config.shard_factor is not None
@@ -229,7 +212,8 @@ def parallel_certain_answers(
         return _fallback(open_query, db, "boolean", t, backend)
     if n_jobs <= 1:
         return _fallback(open_query, db, "jobs=1", t, backend)
-    if db.size() < _min_facts(min_facts, config):
+    if db.size() < (config or RunConfig.from_env()).resolved_min_facts(
+            min_facts):
         return _fallback(open_query, db, "below-min-facts", t, backend)
     if fork_context() is None:
         return _fallback(open_query, db, "no-fork", t, backend)

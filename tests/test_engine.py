@@ -48,7 +48,8 @@ class TestCrossValidation:
         db = random_small_database(q3(), rng, domain_size=3)
         cv = engine.cross_validate(db)
         assert set(cv.results) == {
-            "brute", "interpreted", "rewriting", "compiled", "sql"
+            "brute", "interpreted", "rewriting", "compiled", "sql",
+            "columnar",
         }
         assert cv.consistent
         assert cv.answer in (True, False)

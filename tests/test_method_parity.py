@@ -207,3 +207,119 @@ def test_store_reopen_is_invisible_to_sql_method(tmp_path_factory):
                 == rebuilds_before)
     finally:
         store.close()
+
+
+# ----------------------------------------------------------------------
+# One dispatch path: Boolean certainty is the free=() call
+# ----------------------------------------------------------------------
+
+
+def _copy_into_store(db, path):
+    from repro.storage import PersistentDatabase
+
+    store = PersistentDatabase(path)
+    for schema in db.schemas.values():
+        store.add_relation(schema)
+    with store.batch():
+        for name in db.relations():
+            store.add_all(name, db.facts(name))
+    return store
+
+
+@pytest.fixture(scope="module", params=["memory", "store"])
+def corpus_databases(request, tmp_path_factory):
+    """(name, query, database) for every corpus query, in memory or on
+    a persistent store."""
+    from repro.workloads.generators import random_small_database
+    from repro.workloads.queries import all_named_queries
+
+    rng = random.Random(2018)
+    cases = []
+    for name, query in all_named_queries():
+        db = random_small_database(query, rng, domain_size=3)
+        if request.param == "store":
+            db = _copy_into_store(db, tmp_path_factory.mktemp(name) / "db")
+        cases.append((name, query, db))
+    yield cases
+    if request.param == "store":
+        for _, _, db in cases:
+            db.close()
+
+
+@pytest.mark.parametrize("method", [
+    "brute", "interpreted", "rewriting", "compiled", "sql", "parallel",
+    "columnar",
+])
+def test_certain_is_the_boolean_certain_answers_call(method,
+                                                     corpus_databases):
+    from repro.cqa.engine import CertaintyEngine
+    from repro.cqa.rewriting import NotInFO
+    from repro.parallel import parallel_stats
+
+    options = ({"method": "parallel", "jobs": 2} if method == "parallel"
+               else method)
+    for name, query, db in corpus_databases:
+        engine = CertaintyEngine(query)
+        if method != "brute" and not engine.in_fo:
+            # Both entry points refuse with the same coded diagnostics.
+            with pytest.raises(NotInFO) as boolean:
+                engine.certain(db, options)
+            with pytest.raises(NotInFO) as open_form:
+                engine.certain_answers(db, (), options)
+            assert str(boolean.value) == str(open_form.value)
+            assert boolean.value.diagnostics
+            continue
+        before = parallel_stats()["fallback_reasons"].get("boolean", 0)
+        answer = engine.certain(db, options)
+        assert answer == (() in engine.certain_answers(db, (), options)), name
+        if method == "parallel":
+            reasons = parallel_stats()["fallback_reasons"]
+            assert reasons["boolean"] == before + 2, name
+
+
+def test_boolean_sql_on_in_memory_database():
+    # free=() used to reach the open formula-SQL path, which emitted a
+    # SELECT with no columns; it now takes the Boolean probe path.
+    db = random_poll_database(6, 3, conflict_rate=0.5,
+                              rng=random.Random(3))
+    oq = OpenQuery(poll_qa(), ())
+    assert certain_answers(oq, db, "sql") == certain_answers(oq, db, "brute")
+
+
+@pytest.mark.parametrize("free", [(p,), ()], ids=["open", "boolean"])
+@pytest.mark.parametrize("where", ["memory", "store"])
+def test_auto_rewrites_and_compiles_once(free, where, monkeypatch,
+                                         tmp_path):
+    # Routing and execution share one compiled plan: a single rewriting
+    # lookup and a single plan-cache lookup per auto call.
+    import importlib
+
+    from repro.fo.compile import PlanCache
+
+    module = importlib.import_module("repro.cqa.certain_answers")
+    oq = OpenQuery(poll_qa(), free)
+    db = random_poll_database(6, 3, conflict_rate=0.5,
+                              rng=random.Random(8))
+    expected = certain_answers(oq, db, "brute")
+    if where == "store":
+        db = _copy_into_store(db, tmp_path / "db")
+    calls = {"rewrite": 0, "compile": 0}
+    rewrite = module._guarded_open_rewriting
+    compile_ = PlanCache.get_or_compile
+
+    def counted_rewrite(open_query):
+        calls["rewrite"] += 1
+        return rewrite(open_query)
+
+    def counted_compile(self, *args, **kwargs):
+        calls["compile"] += 1
+        return compile_(self, *args, **kwargs)
+
+    monkeypatch.setattr(module, "_guarded_open_rewriting", counted_rewrite)
+    monkeypatch.setattr(PlanCache, "get_or_compile", counted_compile)
+    try:
+        assert certain_answers(oq, db, "auto") == expected
+    finally:
+        if where == "store":
+            db.close()
+    assert calls == {"rewrite": 1, "compile": 1}

@@ -30,6 +30,7 @@ from repro.incremental import ViewManager
 from repro.obs import (
     NULL_TRACER,
     EngineMetrics,
+    ExecutionOptions,
     MetricsRegistry,
     NullTracer,
     PlanProfile,
@@ -309,16 +310,15 @@ class TestTracingParity:
 
     def test_parallel_fallback_event_recorded(self, qa_open, poll_db):
         tracer = Tracer()
-        with pytest.warns(DeprecationWarning, match="jobs="):
-            certain_answers(qa_open, poll_db, "parallel", jobs=1,
-                            tracer=tracer)
+        certain_answers(qa_open, poll_db, {"method": "parallel", "jobs": 1},
+                        tracer=tracer)
         events = [s for s, _, _ in tracer.iter_spans()
                   if s.name == "parallel-fallback"]
         assert events and events[0].tags["reason"] == "jobs=1"
 
 
 # ----------------------------------------------------------------------
-# EngineMetrics / MetricsRegistry / deprecated shims
+# EngineMetrics / MetricsRegistry
 # ----------------------------------------------------------------------
 
 
@@ -353,13 +353,6 @@ class TestEngineMetrics:
         assert metrics.to_dict()["custom"] == {"widgets": 7}
         registry.unregister("custom")
         assert "custom" not in registry.sources()
-
-    @pytest.mark.parametrize("name", ["plan_cache_stats", "parallel_stats",
-                                      "view_stats"])
-    def test_static_shims_warn_and_delegate(self, name):
-        with pytest.warns(DeprecationWarning, match="metrics()"):
-            out = getattr(CertaintyEngine, name)()
-        assert isinstance(out, dict) and out
 
 
 # ----------------------------------------------------------------------
@@ -438,10 +431,9 @@ class TestRunConfig:
         assert RunConfig(parallel_min_facts=5).resolved_min_facts(9) == 9
 
     def test_certain_answers_accepts_config(self, qa_open, poll_db):
-        config = RunConfig(jobs=1, parallel_min_facts=0)
-        with pytest.warns(DeprecationWarning, match="config="):
-            got = certain_answers(qa_open, poll_db, "parallel",
-                                  config=config)
+        options = ExecutionOptions(method="parallel", jobs=1,
+                                   parallel_min_facts=0)
+        got = certain_answers(qa_open, poll_db, options)
         assert got == certain_answers(qa_open, poll_db, "compiled")
 
     def test_from_env_reads_sql_knobs(self):

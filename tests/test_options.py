@@ -1,10 +1,10 @@
 """ExecutionOptions: the one request-shaped execution API.
 
-The same frozen dataclass travels three ways — positionally into
-``certain``/``certain_answers``, as the JSON body of a ``repro serve``
-request, and merged out of the deprecated ``method=``/``jobs=``/
-``config=`` keywords — so these tests pin its validation, coercion,
-wire round-trip, and the legacy-shim semantics the engine relies on.
+The same frozen dataclass travels two ways — positionally into
+``certain``/``certain_answers`` and as the JSON body of a ``repro serve``
+request — so these tests pin its validation, coercion, wire round-trip,
+and that it is the engine's only way in: the old ``method=``/``jobs=``/
+``config=`` keywords are gone.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.cqa.engine import CertaintyEngine
 from repro.db.database import Database
 from repro.core.atoms import RelationSchema
 from repro.obs import ExecutionOptions, OptionsError, RunConfig
-from repro.obs.options import merge_legacy_options
 
 
 class TestConstruction:
@@ -114,44 +113,20 @@ class TestWireRoundTrip:
 
 
 class TestLegacyShims:
+    """The old ``method=``/``jobs=``/``config=`` keywords are gone;
+    options travel positionally and never warn."""
+
     def test_positional_string_does_not_warn(self):
+        db = TestEngineIntegration._db()
+        engine = CertaintyEngine(parse_query(TestEngineIntegration.QUERY))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            opts = merge_legacy_options("compiled", where="t")
-        assert opts.method == "compiled"
+            assert engine.certain(db, "compiled") is True
 
-    def test_method_keyword_warns(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            opts = merge_legacy_options(None, where="t", method="sql")
-        assert opts.method == "sql"
-
-    def test_jobs_keyword_warns_and_routes_parallel(self):
-        with pytest.warns(DeprecationWarning):
-            opts = merge_legacy_options(None, where="t", jobs=2)
-        assert opts.resolved_method == "parallel"
-        assert opts.jobs == 2
-
-    def test_config_keyword_lifts_gates(self):
-        config = RunConfig(sql_min_facts=55)
-        with pytest.warns(DeprecationWarning):
-            opts = merge_legacy_options(None, where="t", config=config)
-        assert opts.sql_min_facts == 55
-
-    def test_config_jobs_only_lifts_for_parallel(self):
-        # Historical contract: certain_answers(..., method="compiled",
-        # config=RunConfig(jobs=2)) ran serial compiled — keep it legal.
-        config = RunConfig(jobs=2)
-        with pytest.warns(DeprecationWarning):
-            opts = merge_legacy_options("compiled", where="t", config=config)
-        assert opts.method == "compiled"
-        assert opts.jobs is None
-
-    def test_options_beat_legacy_keywords(self):
-        with pytest.warns(DeprecationWarning):
-            opts = merge_legacy_options(
-                ExecutionOptions(method="sql"), where="t", method="brute"
-            )
-        assert opts.method == "sql"
+    def test_method_keyword_is_gone(self):
+        engine = CertaintyEngine(parse_query(TestEngineIntegration.QUERY))
+        with pytest.raises(TypeError):
+            engine.certain(TestEngineIntegration._db(), method="compiled")
 
 
 class TestEngineIntegration:
@@ -173,10 +148,3 @@ class TestEngineIntegration:
             assert engine.certain(db, ExecutionOptions(method="compiled")) \
                 == expected
             assert engine.certain(db, {"method": "interpreted"}) == expected
-
-    def test_engine_deprecated_method_keyword_still_works(self):
-        engine = CertaintyEngine(parse_query(self.QUERY))
-        db = self._db()
-        with pytest.warns(DeprecationWarning):
-            legacy = engine.certain(db, method="compiled")
-        assert legacy == engine.certain(db, "compiled")

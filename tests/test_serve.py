@@ -147,6 +147,18 @@ class TestQueryEndpoints:
             assert body["digest"] == expected, method
             assert body["count"] == len(oracle)
 
+    def test_boolean_answers_over_sql(self, served):
+        # free defaults to [] on the wire: the Boolean form must run on
+        # the in-memory database's SQL path too.
+        oracle = certain_answers(OpenQuery(parse_query(FO_QUERY), ()),
+                                 seeded_db(), "brute")
+        status, body = served.post(
+            "/v1/answers", {"query": FO_QUERY, "free": [],
+                            "options": {"method": "sql"}})
+        assert status == 200, body
+        check_shape(body, "answers_response")
+        assert body["digest"] == answers_digest(oracle)
+
     def test_options_string_shorthand(self, served):
         status, body = served.post(
             "/v1/certain", {"query": FO_QUERY, "options": "compiled"})
