@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate BENCH_parallel.json: serial vs sharded-parallel answers.
 
-Usage:  PYTHONPATH=src python scripts/bench_parallel.py [output_path]
+Usage:  PYTHONPATH=src python scripts/bench_parallel.py [output_path] [--smoke]
 
 Times the serial ``compiled`` strategy against the sharded parallel
 executor (``method="parallel"``) for the certain answers of
@@ -28,9 +28,11 @@ Methodology
   itself witnesses that parallel answers are byte-identical to serial
   answers on every configuration.
 
+``--smoke`` shrinks the grid to CI sizes (two small databases,
+``jobs=2``, two rounds); every point still asserts parallel == serial.
+
 The JSON is committed so CI and future sessions can compare against a
-known-good baseline.  ``REPRO_MAX_WORKERS`` caps the grid (CI smoke
-runs set it to 2 and shrink sizes via BENCH_PARALLEL_SMOKE=1).
+known-good baseline.
 """
 
 import hashlib
@@ -43,7 +45,6 @@ import time
 
 from repro.core.terms import Variable
 from repro.cqa.certain_answers import OpenQuery, certain_answers
-from repro.obs import RunConfig
 from repro.parallel import (
     parallel_certain_answers,
     parallel_stats,
@@ -53,17 +54,14 @@ from repro.parallel import (
 from repro.workloads.poll import random_poll_database
 from repro.workloads.queries import poll_qa
 
-RUN_CONFIG = RunConfig.from_env()
-
 SIZES = [50_000, 200_000, 500_000]
 JOBS_GRID = [2, 4, 8]
 N_SHARDS = 64
 ROUNDS = 3
 
-if RUN_CONFIG.parallel_smoke:
-    SIZES = [2_000, 5_000]
-    JOBS_GRID = [2]
-    ROUNDS = 2
+SMOKE_SIZES = [2_000, 5_000]
+SMOKE_JOBS_GRID = [2]
+SMOKE_ROUNDS = 2
 
 
 def answers_digest(answers) -> str:
@@ -78,7 +76,7 @@ def timed(fn, *args, **kwargs):
     return result, time.perf_counter() - t0
 
 
-def bench_size(open_query, n_people):
+def bench_size(open_query, n_people, jobs_grid, rounds):
     db = random_poll_database(
         n_people, 8, likes_per_person=8, conflict_rate=0.6,
         rng=random.Random(7),
@@ -86,7 +84,7 @@ def bench_size(open_query, n_people):
     serial, _ = timed(certain_answers, open_query, db, "compiled")  # warm
     digest = answers_digest(serial)
 
-    jobs_grid = [j for j in JOBS_GRID if N_SHARDS % j == 0]
+    jobs_grid = [j for j in jobs_grid if N_SHARDS % j == 0]
     reset_parallel_stats()
     partition_s = 0.0
     for jobs in jobs_grid:  # warm pools; first config pays the partition
@@ -99,7 +97,7 @@ def bench_size(open_query, n_people):
 
     serial_times = []
     parallel_times = {jobs: [] for jobs in jobs_grid}
-    for _ in range(ROUNDS):
+    for _ in range(rounds):
         got, t = timed(certain_answers, open_query, db, "compiled")
         assert got == serial
         serial_times.append(t)
@@ -135,12 +133,17 @@ def bench_size(open_query, n_people):
 
 
 def main(argv):
-    out_path = pathlib.Path(argv[1]) if len(argv) > 1 else (
+    args = [a for a in argv[1:] if a != "--smoke"]
+    smoke = "--smoke" in argv[1:]
+    out_path = pathlib.Path(args[0]) if args else (
         pathlib.Path(__file__).resolve().parent.parent
         / "BENCH_parallel.json"
     )
+    sizes = SMOKE_SIZES if smoke else SIZES
+    jobs_grid = SMOKE_JOBS_GRID if smoke else JOBS_GRID
+    rounds = SMOKE_ROUNDS if smoke else ROUNDS
     open_query = OpenQuery(poll_qa(), [Variable("p")])
-    grid = [bench_size(open_query, n) for n in SIZES]
+    grid = [bench_size(open_query, n, jobs_grid, rounds) for n in sizes]
     largest = grid[-1]
     report = {
         "query": "{Lives(p|t), not Born(p|t), not Likes(p,t|)} with free (p)",
@@ -150,12 +153,12 @@ def main(argv):
         "methodology": (
             "serial compiled vs sharded parallel, 64 shards for every "
             "jobs value, interleaved rounds in one process, min over "
-            f"{ROUNDS} rounds; parallel answer sets asserted equal to "
+            f"{rounds} rounds; parallel answer sets asserted equal to "
             "serial and sha256 of their sorted reprs recorded per point"
         ),
         "grid": grid,
     }
-    if not RUN_CONFIG.parallel_smoke:
+    if not smoke:
         best = largest["parallel"].get("jobs=4", {}).get("speedup")
         report["largest_size_jobs4_speedup"] = best
     out_path.write_text(json.dumps(report, indent=2) + "\n")

@@ -157,11 +157,23 @@ def bench_replay(base, grid):
 
 
 def bench_sql_crossover(base, sizes):
-    from repro.cqa.certain_answers import _certain_answers_sql
+    from repro.cqa.certain_answers import certain_answers_sql_query
     from repro.db.sqlite_backend import load_database
+    from repro.fo.sql import decode_value
 
     open_query = OpenQuery(poll_qa(), [Variable("p")])
-    os.environ["REPRO_SQL_MIN_FACTS"] = "0"
+
+    def formula_sql(conn, db):
+        rows = conn.execute(certain_answers_sql_query(open_query, db))
+        return frozenset(tuple(decode_value(v) for v in row) for row in rows)
+
+    def formula_sql_fresh_load(db):
+        conn = load_database(db)
+        try:
+            return formula_sql(conn, db)
+        finally:
+            conn.close()
+
     rows = []
     for people, towns in sizes:
         db = random_poll_database(people, towns, conflict_rate=0.5,
@@ -187,8 +199,7 @@ def bench_sql_crossover(base, sizes):
         # plan-IR compiler is gated against.
         warm = load_database(store)
         try:
-            got, seconds = timed(_certain_answers_sql, open_query, store,
-                                 warm)
+            got, seconds = timed(formula_sql, warm, store)
             assert answer_digest(got) == digest, (people, towns,
                                                   "formula-sql")
             point["formula_sql_s"] = round(seconds, 6)
@@ -197,7 +208,7 @@ def bench_sql_crossover(base, sizes):
         # legacy_sql: the same formula SQL on the plain in-memory
         # database — every call loads every fact into a fresh sqlite
         # connection first (the copy the mirror exists to avoid).
-        got, seconds = timed(certain_answers, open_query, db, "sql")
+        got, seconds = timed(formula_sql_fresh_load, db)
         assert answer_digest(got) == digest, (people, towns, "legacy-sql")
         point["legacy_sql_s"] = round(seconds, 6)
         point["native_vs_formula_sql"] = (

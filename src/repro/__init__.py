@@ -58,7 +58,7 @@ from .cqa import (
 )
 from .db import Database, database_from_facts, iter_repairs, satisfies
 from .incremental import View, ViewManager, view_manager, view_stats
-from .obs import EngineMetrics, PlanProfile, RunConfig, Tracer, collect_metrics
+from .obs import EngineMetrics, PlanProfile, Tracer, collect_metrics
 
 __version__ = "0.1.0"
 
@@ -77,7 +77,6 @@ __all__ = [
     "Query",
     "QueryError",
     "RelationSchema",
-    "RunConfig",
     "Tracer",
     "Variable",
     "Verdict",

@@ -20,7 +20,6 @@ QP106     warning   join order ≥ X times the estimated best order
 QP107     warning   not in FO: certainty runs the brute-force path
 QP108     hint      constants in the query defeat plan-cache reuse
 QP109     warning   plan touches Adom*: columnar decodes to tuples
-QP110     warning   plan has no native SQL translation: pushdown refused
 QP111     warning   WAL grew past the checkpoint threshold uncompacted
 QP112     hint      constants/DDL defeat the SQL statement cache
 ========  ========  =====================================================
@@ -426,42 +425,6 @@ def check_columnar_decode(
 
 
 @qp_rule(
-    "QP110",
-    "sql-pushdown-unsupported-plan",
-    Severity.WARNING,
-    "mirror-backed store would route this query to SQL pushdown, but "
-    "the plan contains operators with no native SQL translation",
-    "repro.storage.sqlgen: supports_plan admits only the twelve known "
-    "plan-IR node types; Adom* plans push down natively since the "
-    "maintained repro_adom table, so only genuinely unknown operator "
-    "shapes force the in-memory path",
-)
-def check_sql_pushdown_unsupported(
-    info: RuleInfo, ctx: AnalysisContext
-) -> Iterator[Diagnostic]:
-    from ..storage.pushdown import mirror_capable, sql_min_facts
-    from ..storage.sqlgen import supports_plan
-
-    if ctx.plan is None or ctx.db is None or not mirror_capable(ctx.db):
-        return
-    if supports_plan(ctx.plan):
-        return
-    if ctx.db.size() < sql_min_facts():
-        return
-    yield info.diagnostic(
-        f"store holds {ctx.db.size():,} facts (>= REPRO_SQL_MIN_FACTS "
-        f"= {sql_min_facts():,}) but the compiled plan contains "
-        f"operators the native SQL compiler cannot translate: "
-        f"method=auto falls back to the in-memory executors instead of "
-        f"the sqlite mirror (fallback_unsupported in the storage "
-        f"metrics)",
-        fix="recompile through the stock plan lowering (custom plan "
-            "nodes have no SQL translation), or run method=compiled/"
-            "columnar explicitly",
-    )
-
-
-@qp_rule(
     "QP111",
     "wal-compaction-overdue",
     Severity.WARNING,
@@ -499,7 +462,7 @@ def check_wal_compaction(
     "sql-statement-cache-hostile",
     Severity.HINT,
     "the query's shape defeats the SQL pushdown's prepared-statement "
-    "cache (constants baked into the plan, or per-call DDL)",
+    "cache (constants baked into the plan, or an unstable schema)",
     "repro.storage.pushdown: the statement cache is keyed on the "
     "compiled plan object, which embeds the query's constants — the "
     "SQL-tier sibling of QP108's plan-cache rule",
@@ -535,9 +498,9 @@ def check_sql_stmt_cache(
         if missing:
             yield info.diagnostic(
                 f"relation(s) {', '.join(missing)} are absent from the "
-                f"database: every SQL-tier call creates the empty "
-                f"table(s) before querying (per-call DDL on the legacy "
-                f"path; a statement-cache epoch bump on the mirror)",
+                f"database: their scans compile to empty relations, and "
+                f"declaring them later bumps the mirror's statement-cache "
+                f"epoch (every cached statement recompiles)",
                 fix="declare the relation once with add_relation so "
                     "the schema is stable before querying",
             )

@@ -41,7 +41,6 @@ from .lint import LintError, lint_text
 from .obs import (
     ExecutionOptions,
     PlanProfile,
-    RunConfig,
     collect_metrics,
     profile_tree,
     render_profile,
@@ -302,15 +301,11 @@ def _print_trace(tracer) -> None:
         print(render_profile(plan, profile))
 
 
-def _flush_trace(tracer, config) -> None:
-    """Append the span JSONL when a trace file is configured.
-
-    ``config`` is anything with a ``trace_file`` field (a
-    :class:`RunConfig` or an :class:`ExecutionOptions`).
-    """
-    if tracer is not None and config.trace_file:
-        n = tracer.write_jsonl(config.trace_file)
-        print(f"wrote {n} span records to {config.trace_file}",
+def _flush_trace(tracer, options: ExecutionOptions) -> None:
+    """Append the span JSONL when the options name a trace file."""
+    if tracer is not None and options.trace_file:
+        n = tracer.write_jsonl(options.trace_file)
+        print(f"wrote {n} span records to {options.trace_file}",
               file=sys.stderr)
 
 
@@ -428,8 +423,8 @@ def cmd_watch(args: argparse.Namespace) -> int:
     from .incremental import view_manager
 
     query = _parse_query_arg(args.query)
-    config = RunConfig.from_env(trace_file=args.trace_out)
-    tracer = config.make_tracer()
+    options = ExecutionOptions.from_env(trace_file=args.trace_out)
+    tracer = options.make_tracer()
     db = _load_db(args)
     free = [Variable(n.strip()) for n in args.free.split(",") if n.strip()]
     manager = view_manager(db, tracer=tracer)
@@ -512,7 +507,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
     else:
         print(f"final: CERTAINTY = {view.holds} at v{db.clock} "
               f"({commits} update batches)")
-    _flush_trace(tracer, config)
+    _flush_trace(tracer, options)
     if args.stats:
         _print_stats()
     return 0
@@ -571,8 +566,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis import analyze_text
 
-    config = RunConfig.from_env(trace_file=args.trace_out)
-    tracer = config.make_tracer()
+    options = ExecutionOptions.from_env(trace_file=args.trace_out)
+    tracer = options.make_tracer()
     free = tuple(
         Variable(n.strip()) for n in args.free.split(",") if n.strip()
     )
@@ -587,7 +582,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(report.render_text())
     finally:
         _close_db(db) if db is not None else None
-    _flush_trace(tracer, config)
+    _flush_trace(tracer, options)
     return 1 if report.errors else 0
 
 
@@ -756,7 +751,6 @@ def cmd_db_stats(args: argparse.Namespace) -> int:
     try:
         status = store.storage_status()
         mirror = sql_mirror(store)
-        assert mirror is not None  # an open store is always mirror-capable
         report = {
             "store": {"path": status["path"], "clock": status["clock"],
                       "facts": status["facts"],
@@ -788,8 +782,7 @@ def cmd_db_stats(args: argparse.Namespace) -> int:
           f"entries, {cache['hits']} hit(s), {cache['misses']} miss(es), "
           f"hit rate {rate}")
     pd = report["pushdown"]
-    print(f"pushdown: {pd['native_sql']} native, {pd['legacy_sql']} legacy, "
-          f"{pd['fallback_unsupported']} unsupported-plan fallback(s), "
+    print(f"pushdown: {pd['native_sql']} native, "
           f"{pd['fallback_small']} below-threshold fallback(s), "
           f"{pd['mirror_rebuilds']} rebuild(s), "
           f"{pd['mirror_delta_rows']} delta row(s)")
@@ -974,7 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "in the cost model (default: textbook estimates)")
     p.add_argument("--db-path", default=None, metavar="DIR",
                    help="durable store directory to analyze against "
-                        "(enables the storage rules QP110/QP111); "
+                        "(enables the storage rule QP111); "
                         "mutually exclusive with --db")
     p.add_argument("--format", default="text",
                    choices=("text", "json", "github"),

@@ -16,7 +16,6 @@ from .executor import (
     columnar_rows,
     columnar_stats,
     prefer_columnar,
-    prime_plan_values,
     reset_columnar_stats,
 )
 from .relation import ColumnarRelation, fuse, gather
@@ -33,6 +32,5 @@ __all__ = [
     "fuse",
     "gather",
     "prefer_columnar",
-    "prime_plan_values",
     "reset_columnar_stats",
 ]

@@ -12,10 +12,9 @@ whole invalidation story (the bug class this module exists to close):
 * The :class:`ValueDictionary` is **append-only and never invalidated**.
   A code, once assigned, means the same value forever — deleting the
   value from the database merely leaves its code unused.  Append-only
-  is what makes codes safe to ship across process boundaries: a forked
-  worker that inherited the dictionary at length ``L`` agrees with the
-  parent on every code below ``L`` no matter how much either side has
-  appended since (see :mod:`repro.parallel.pool`).
+  is what lets other code layers hold codes: the SQL mirror persists
+  them (:mod:`repro.storage.pushdown`), and cached scan batches stay
+  decodable however much the dictionary grows.
 * The **encoded relation columns and scan results are version-tagged
   caches**.  Each entry records the :meth:`Database.relation_version`
   (for per-relation data) or the changelog :attr:`Database.clock` (for
@@ -83,7 +82,7 @@ class ValueDictionary:
         return code
 
     def encode_many(self, values: Iterable[object]) -> None:
-        """Assign codes to every value (bulk priming before a fork)."""
+        """Assign codes to every value, in order."""
         for value in values:
             self.encode(value)
 
@@ -120,8 +119,8 @@ class ColumnarStore:
 
     __slots__ = ("dictionary", "_encoded", "_scans")
 
-    def __init__(self, dictionary: Optional[ValueDictionary] = None) -> None:
-        self.dictionary = dictionary if dictionary is not None else ValueDictionary()
+    def __init__(self) -> None:
+        self.dictionary = ValueDictionary()
         # relation -> (relation version, columns, n_rows)
         self._encoded: Dict[str, Tuple[int, Columns, int]] = {}
         # scan key -> (relation version, batch); caching the batch object
@@ -172,26 +171,17 @@ class ColumnarStore:
     def prime(self, db: Database) -> int:
         """Encode every relation of ``db`` into the dictionary.
 
-        Returns the dictionary length afterwards — the code horizon a
-        forked worker can safely report back to this process (see the
-        append-only argument in the module docstring).
+        Returns the dictionary length afterwards.
         """
         for relation in db.relations():
             self.encoded(db, relation)
         return len(self.dictionary)
 
 
-def columnar_store(db: Database,
-                   dictionary: Optional[ValueDictionary] = None) -> ColumnarStore:
-    """The database's columnar store, created on first use.
-
-    ``dictionary`` lets callers share one global dictionary across
-    several databases (the parallel path attaches the parent's
-    dictionary to every shard before forking); it only applies when the
-    store is created here — an existing store keeps its dictionary.
-    """
+def columnar_store(db: Database) -> ColumnarStore:
+    """The database's columnar store, created on first use."""
     store = getattr(db, _STORE_ATTR, None)
     if store is None:
-        store = ColumnarStore(dictionary)
+        store = ColumnarStore()
         setattr(db, _STORE_ATTR, store)
     return store

@@ -38,7 +38,6 @@ says the batch win outweighs the encoding cost.
 
 from __future__ import annotations
 
-import os
 from array import array
 from itertools import chain, compress, count, repeat
 from operator import (
@@ -68,8 +67,7 @@ from ..fo.plan import (
     SemiJoin,
     Union,
 )
-from ..obs.config import RunConfig
-from .dictionary import ColumnarStore, columnar_store
+from .dictionary import columnar_store
 from .relation import ColumnarRelation, fuse, gather, pick
 
 __all__ = [
@@ -77,19 +75,21 @@ __all__ = [
     "columnar_rows",
     "columnar_holds",
     "prefer_columnar",
-    "prime_plan_values",
     "columnar_stats",
     "reset_columnar_stats",
     "COLUMNAR_COST_THRESHOLD",
+    "COLUMNAR_MIN_FACTS",
 ]
 
 Row = Tuple
 
+#: Below this many facts ``auto`` never routes to the columnar backend
+#: (encoding whole relations costs more than small tuple runs save).
+COLUMNAR_MIN_FACTS = 4000
+
 #: ``method="auto"`` routes to the columnar backend only above this
-#: estimated plan cost (the System-R cost model), and only on databases
-#: of at least ``RunConfig.columnar_min_facts`` facts: cheap plans
-#: finish before the batch machinery warms up.  Env override:
-#: ``REPRO_COLUMNAR_COST``.
+#: estimated plan cost (the System-R cost model): cheap plans finish
+#: before the batch machinery warms up.
 COLUMNAR_COST_THRESHOLD = 50_000.0
 
 _STATS: Dict[str, int] = {}
@@ -121,14 +121,6 @@ def columnar_stats() -> Dict[str, int]:
     of ``engine.metrics()``.
     """
     return dict(_STATS)
-
-
-def _cost_threshold() -> float:
-    raw = os.environ.get("REPRO_COLUMNAR_COST", "").strip()
-    try:
-        return float(raw) if raw else COLUMNAR_COST_THRESHOLD
-    except ValueError:
-        return COLUMNAR_COST_THRESHOLD
 
 
 # ----------------------------------------------------------------------
@@ -727,38 +719,6 @@ def columnar_holds(compiled, db: Database, profile=None) -> bool:
     return compiled.holds(db, profile=profile)
 
 
-def prime_plan_values(store: ColumnarStore, plan: Plan,
-                      constants: Sequence = ()) -> None:
-    """Encode every value a plan can mention into the dictionary.
-
-    Scan constants, literal rows, select constants and the compiled
-    constants tuple — the values that batch execution would otherwise
-    encode lazily.  The parallel path calls this (plus
-    :meth:`ColumnarStore.prime`) *before* forking workers, so workers
-    never assign codes of their own and the append-only agreement
-    argument of :mod:`repro.columnar.dictionary` applies.
-    """
-    from ..fo.plan import plan_nodes
-
-    encode = store.dictionary.encode
-    for value in constants:
-        encode(value)
-    for node in plan_nodes(plan):
-        if type(node) is Scan:
-            for value in node.consts.values():
-                encode(value)
-        elif type(node) is Literal:
-            for row in node.rows:
-                for value in row:
-                    encode(value)
-        elif type(node) is Select:
-            for lhs, rhs, _ in node.conds:
-                if lhs[0] == "const":
-                    encode(lhs[1])
-                if rhs[0] == "const":
-                    encode(rhs[1])
-
-
 # ----------------------------------------------------------------------
 # cost-model routing
 # ----------------------------------------------------------------------
@@ -767,25 +727,21 @@ _ROUTE_CACHE_LIMIT = 64
 _route_cache: Dict[Tuple, bool] = {}
 
 
-def prefer_columnar(compiled, db: Database, config=None) -> bool:
+def prefer_columnar(compiled, db: Database) -> bool:
     """Should ``method="auto"`` take the columnar backend for this run?
 
     Three gates, cheapest first: the query must be open (sentences are
     probe-delegated anyway), the database must carry at least
-    ``REPRO_COLUMNAR_MIN_FACTS`` facts, and the PR 6 cost model's
-    estimate for the plan must reach ``REPRO_COLUMNAR_COST`` — below
-    that, tuple execution finishes before column encoding pays off.
-    Plans touching Adom* stay on the tuple executor (their batch form
-    is a decode fallback; QP109 reports this statically).  Decisions
-    are cached per (database, clock, plan).  ``config`` (a
-    :class:`repro.obs.RunConfig`) overrides the env-derived size
-    threshold — how :class:`repro.obs.ExecutionOptions` reaches this
-    gate.
+    :data:`COLUMNAR_MIN_FACTS` facts, and the PR 6 cost model's
+    estimate for the plan must reach :data:`COLUMNAR_COST_THRESHOLD` —
+    below that, tuple execution finishes before column encoding pays
+    off.  Plans touching Adom* stay on the tuple executor (their batch
+    form is a decode fallback; QP109 reports this statically).
+    Decisions are cached per (database, clock, plan).
     """
     if not compiled.free:
         return False
-    threshold = (config or RunConfig.from_env()).resolved_columnar_min_facts()
-    if db.size() < threshold:
+    if db.size() < COLUMNAR_MIN_FACTS:
         return False
     key = (id(db), db.clock, id(compiled.plan))
     hit = _route_cache.get(key)
@@ -797,7 +753,7 @@ def prefer_columnar(compiled, db: Database, config=None) -> bool:
             hit = False
         else:
             report = CostModel(table_stats(db)).estimate(compiled.plan)
-            hit = report.total_cost >= _cost_threshold()
+            hit = report.total_cost >= COLUMNAR_COST_THRESHOLD
         if len(_route_cache) >= _ROUTE_CACHE_LIMIT:
             _route_cache.clear()
         _route_cache[key] = hit

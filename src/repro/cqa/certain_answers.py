@@ -29,9 +29,10 @@ Strategies (the ``method`` of :class:`repro.obs.ExecutionOptions`):
     (:mod:`repro.columnar`); sentences keep the row executor's probe
     (a delegation counted in the columnar stats).
 ``sql``
-    Run the same plan as one SELECT inside a persistent store's sqlite
-    mirror (:mod:`repro.storage.pushdown`); off-store, compile the
-    rewriting to formula SQL on a freshly loaded in-memory connection.
+    Run the same plan as one SELECT inside the database's sqlite
+    mirror (:mod:`repro.storage.pushdown`): a persistent store's
+    ``mirror.sqlite``, or a private in-memory mirror attached to any
+    other database on first use.
 ``parallel``
     Split the database into block-preserving shards and run the
     compiled plan on every shard in a forked worker pool
@@ -66,7 +67,6 @@ from ..core.classify import Classification, Verdict, classify
 from ..core.query import Query, QueryError
 from ..core.terms import Constant, PlaceholderConstant, Variable, is_variable
 from ..db.database import Database
-from ..db.sqlite_backend import create_tables, load_database, run_sentence_sql
 from ..fo.compile import CompiledQuery, plan_cache
 from ..fo.eval import Evaluator
 from ..fo.formula import (
@@ -81,7 +81,7 @@ from ..fo.formula import (
     substitute_terms,
 )
 from ..fo.simplify import simplify_fixpoint
-from ..fo.sql import SQLCompiler, decode_value
+from ..fo.sql import SQLCompiler
 from ..lint import lint_query
 from ..obs.options import ExecutionOptions, close_tracer, open_tracer
 from ..obs.profile import PlanProfile
@@ -351,9 +351,9 @@ def certain_answers(
     method string as shorthand, or its strict ``dict`` wire form (the
     body of a ``repro serve`` request).  See the module docstring for
     the methods and ``auto`` routing; the ``jobs`` field sets the
-    worker count of the ``parallel`` method (default: the CPU count,
-    capped by ``max_workers``).  With no free variables the result is
-    ``{()}`` when the query is certain and empty otherwise.
+    worker count of the ``parallel`` method (default: the CPU count).
+    With no free variables the result is ``{()}`` when the query is
+    certain and empty otherwise.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) records phase spans and,
     for the plan-executing methods, a per-operator
@@ -392,30 +392,26 @@ def _dispatch(
                     _guarded_open_rewriting(open_query), db, open_query.free
                 )
             if auto:
-                method = _route(compiled, db, opts)
+                method = _route(compiled, db)
             span.tag(method=method)
             return _execute(method, compiled, open_query, db, t)
         span.tag(method=method)
         if method == "parallel":
             from ..parallel import parallel_certain_answers
 
-            return parallel_certain_answers(
-                open_query, db, jobs=opts.jobs, config=opts.run_config(),
-                tracer=t,
-            )
+            return parallel_certain_answers(open_query, db, jobs=opts.jobs,
+                                            tracer=t)
         return _per_candidate(method, open_query, db, t, span)
 
 
-def _route(compiled: CompiledQuery, db: Database,
-           opts: ExecutionOptions) -> str:
+def _route(compiled: CompiledQuery, db: Database) -> str:
     """The backend ``auto`` hands an FO query's compiled plan to."""
     from ..columnar import prefer_columnar
     from ..storage.pushdown import prefer_sql
 
-    config = opts.run_config()
-    if prefer_sql(compiled, db, config=config):
+    if prefer_sql(compiled, db):
         return "sql"
-    if prefer_columnar(compiled, db, config=config):
+    if prefer_columnar(compiled, db):
         return "columnar"
     return "compiled"
 
@@ -437,7 +433,10 @@ def _execute(method: str, compiled: CompiledQuery, open_query: OpenQuery,
             run = columnar_holds if boolean else columnar_rows
             result = run(compiled, db, profile=profile)
         else:
-            result = _sql(compiled, open_query, db)
+            from ..storage.pushdown import native_sql_answers, native_sql_holds
+
+            run = native_sql_holds if boolean else native_sql_answers
+            result = run(compiled, db)
         if boolean:
             span.count("holds", int(result))
         else:
@@ -447,32 +446,6 @@ def _execute(method: str, compiled: CompiledQuery, open_query: OpenQuery,
     if boolean:
         return _TRUE if result else _FALSE
     return result
-
-
-def _sql(compiled: CompiledQuery, open_query: OpenQuery, db: Database):
-    """``method="sql"``: a bool for a sentence, else the answer rows."""
-    from ..storage.pushdown import (
-        count_legacy_sql,
-        native_sql_answers,
-        native_sql_holds,
-    )
-
-    # A persistent store translates the compiled plan to one SELECT
-    # inside its integer-encoded mirror; answers come back as columnar
-    # code batches, never per-row decoded tuples.  Off-store (or for an
-    # untranslatable plan) the legacy formula-SQL path loads a fresh
-    # in-memory connection per call.
-    if not open_query.free:
-        result = native_sql_holds(compiled, db)
-        if result is None:
-            count_legacy_sql()
-            result = run_sentence_sql(compiled.formula, db)
-        return result
-    rows = native_sql_answers(compiled, db)
-    if rows is None:
-        count_legacy_sql()
-        rows = _certain_answers_sql(open_query, db)
-    return rows
 
 
 def _per_candidate(method: str, open_query: OpenQuery, db: Database, t,
@@ -522,34 +495,14 @@ def certain_answers_sql_query(open_query: OpenQuery, db: Database) -> str:
     )
 
 
-def _certain_answers_sql(
-    open_query: OpenQuery, db: Database
-) -> FrozenSet[Tuple]:
-    """Run the single-SELECT form on a freshly loaded in-memory
-    connection."""
-    conn = load_database(db)
-    try:
-        formula = open_rewriting(open_query)
-        needed = schemas_of(formula)
-        missing = [s for name, s in needed.items() if name not in db.schemas]
-        if missing:
-            create_tables(conn, missing)
-        sql = certain_answers_sql_query(open_query, db)
-        rows = conn.execute(sql).fetchall()
-        return frozenset(tuple(decode_value(v) for v in row) for row in rows)
-    finally:
-        conn.close()
-
-
 def cross_validate_answers(
     open_query: OpenQuery, db: Database, parallel_jobs: int = 0
 ) -> Dict[str, FrozenSet[Tuple]]:
     """Answers from every applicable strategy (tests assert agreement).
 
     ``parallel_jobs > 0`` additionally runs the sharded parallel path
-    (both backends: tuple and columnar) with that worker count and no
-    size threshold, so even tiny test databases exercise real
-    partitioning and merging.
+    with that worker count and no size threshold, so even tiny test
+    databases exercise real partitioning and merging.
     """
     out = {"brute": certain_answers(open_query, db, "brute")}
     if open_query.in_fo:
@@ -561,9 +514,5 @@ def cross_validate_answers(
             out["parallel"] = parallel_certain_answers(
                 open_query, db, jobs=parallel_jobs, min_facts=0,
                 shard_factor=1,
-            )
-            out["parallel-columnar"] = parallel_certain_answers(
-                open_query, db, jobs=parallel_jobs, min_facts=0,
-                shard_factor=1, backend="columnar",
             )
     return out

@@ -126,13 +126,14 @@ class CertaintyEngine:
         database's changelog: after any mutation (or batch commit),
         ``view.holds`` / ``view.answers`` reflect the new certain
         answers without a full re-execution.  Requires the query to be
-        in FO, like ``method="compiled"``.  ``tracer`` attaches a
+        in FO with ``free`` as answer variables, like
+        ``method="compiled"``.  ``tracer`` attaches a
         :class:`repro.obs.Tracer` to the database's view manager so
         maintenance work is traced.
         """
         from ..incremental import view_manager
 
-        require_fo(self._boolean, "incremental")
+        require_fo(OpenQuery(self.query, free), "incremental")
         return view_manager(db, tracer=tracer).register_view(self.query, free)
 
     def cross_validate(self, db: Database) -> CrossValidation:

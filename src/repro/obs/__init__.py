@@ -13,14 +13,11 @@ compiled, sql, incremental, parallel); this package makes all of them
 * :mod:`repro.obs.metrics` — :class:`EngineMetrics` /
   :class:`MetricsRegistry`, the one consistent schema over the plan
   cache, parallel executor and incremental-view counters;
-* :mod:`repro.obs.config` — :class:`RunConfig`, consolidating the
-  env-var sprawl (``REPRO_MAX_WORKERS``, ``REPRO_PARALLEL_MIN_FACTS``,
-  ``REPRO_TRACE_FILE``, ``BENCH_PARALLEL_SMOKE``) behind one dataclass
-  with env vars as fallback defaults;
-* :mod:`repro.obs.options` — :class:`ExecutionOptions`, the frozen
-  per-call request object (method, jobs, trace, routing gates) built
-  on :class:`RunConfig`, with a strict JSON round-trip that doubles as
-  the ``repro serve`` wire form (``docs/serve.schema.json``);
+* :mod:`repro.obs.options` — :class:`ExecutionOptions`, the one
+  frozen per-call options object (method, jobs, trace, trace file;
+  ``REPRO_TRACE_FILE`` is its only env fallback), with a strict JSON
+  round-trip that doubles as the ``repro serve`` wire form
+  (``docs/serve.schema.json``);
 * :mod:`repro.obs.schema` — a dependency-free JSON-Schema-subset
   validator used by the ``trace-smoke`` CI job against
   ``docs/trace.schema.json``.
@@ -29,7 +26,6 @@ See ``docs/OBSERVABILITY.md`` for the span model and the metrics
 schema.
 """
 
-from .config import RunConfig
 from .metrics import EngineMetrics, MetricsRegistry, collect_metrics, default_registry
 from .options import KNOWN_METHODS, ExecutionOptions, OptionsError
 from .profile import (
@@ -52,7 +48,6 @@ __all__ = [
     "OperatorStats",
     "OptionsError",
     "PlanProfile",
-    "RunConfig",
     "SchemaError",
     "Span",
     "Tracer",

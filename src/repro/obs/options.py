@@ -1,29 +1,25 @@
 """``ExecutionOptions``: one frozen request object for every engine call.
 
-The engine grew one keyword at a time — ``method=``, ``jobs=``,
-``tracer=``, ``config=`` — plus env-var gates (``REPRO_SQL_MIN_FACTS``,
-``REPRO_COLUMNAR_MIN_FACTS``, ...) scattered across the SQL and
-columnar routers.  :class:`ExecutionOptions` consolidates the whole
-call surface into a single frozen dataclass built on
-:class:`repro.obs.config.RunConfig` (explicit fields beat env
-fallbacks), with a strict JSON round-trip (:meth:`to_dict` /
-:meth:`from_dict`) so the same object *is* the wire form of a
-``repro serve`` request body (``docs/serve.schema.json``).
+Four fields — ``method``, ``jobs``, ``trace`` and ``trace_file`` — are
+the whole call surface; the routing gates behind ``auto`` are module
+constants next to the router that reads them.  A strict JSON
+round-trip (:meth:`to_dict` / :meth:`from_dict`) makes the same object
+the wire form of a ``repro serve`` request body
+(``docs/serve.schema.json``).
 
 Accepted by :meth:`repro.cqa.engine.CertaintyEngine.certain`,
 :meth:`~repro.cqa.engine.CertaintyEngine.certain_answers`, and the
 module-level :func:`repro.cqa.certain_answers.certain_answers` as the
 ``options`` parameter, which also takes a bare method string
 (``"compiled"``) as blessed shorthand.  It is the only way to pass a
-method, a worker count or a knob to those calls.
+method, a worker count or a trace request to those calls.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
-
-from .config import RunConfig
 
 __all__ = [
     "ExecutionOptions",
@@ -38,24 +34,6 @@ __all__ = [
 KNOWN_METHODS: Tuple[str, ...] = (
     "auto", "brute", "interpreted", "rewriting", "compiled", "sql",
     "parallel", "columnar",
-)
-
-#: Fields that require a positive int when set.
-_POSITIVE_FIELDS = ("jobs", "max_workers", "shard_factor")
-
-#: Fields that require a non-negative int when set (0 is meaningful:
-#: "no threshold" / "cache disabled").
-_NONNEGATIVE_FIELDS = (
-    "parallel_min_facts", "sql_min_facts", "sql_stmt_cache",
-    "columnar_min_facts",
-)
-
-#: RunConfig fields an ExecutionOptions shares (same names, same
-#: semantics); :meth:`ExecutionOptions.from_env` reads them.
-_SHARED_CONFIG_FIELDS = (
-    "jobs", "max_workers", "parallel_min_facts", "shard_factor",
-    "trace", "trace_file", "sql_min_facts", "sql_stmt_cache",
-    "columnar_min_facts",
 )
 
 
@@ -74,37 +52,18 @@ class ExecutionOptions:
         ``brute`` otherwise).  ``auto`` plus ``jobs`` selects
         ``parallel``, mirroring the CLI's ``--jobs`` semantics.
     ``jobs``
-        Worker count for the parallel path (None: CPU count, capped
-        by ``max_workers``).
+        Worker count for the parallel path (None: CPU count).
     ``trace`` / ``trace_file``
         Collect spans and per-operator profiles; ``trace_file``
         additionally appends span JSONL after the call (and implies
         ``trace``).  When the caller passes no explicit ``tracer=``,
         the engine creates and flushes one from these fields.
-    ``max_workers`` / ``parallel_min_facts`` / ``shard_factor``
-        Parallel-executor knobs (env fallbacks: ``REPRO_MAX_WORKERS``,
-        ``REPRO_PARALLEL_MIN_FACTS``).
-    ``sql_min_facts`` / ``sql_stmt_cache``
-        SQL-pushdown gates (env fallbacks: ``REPRO_SQL_MIN_FACTS``,
-        ``REPRO_SQL_STMT_CACHE``).
-    ``columnar_min_facts``
-        Size gate of the vectorized router (env fallback:
-        ``REPRO_COLUMNAR_MIN_FACTS``).
-
-    Set fields always beat environment values; unset (``None``) fields
-    fall back to the env-derived defaults via :meth:`run_config`.
     """
 
     method: str = "auto"
     jobs: Optional[int] = None
     trace: bool = False
     trace_file: Optional[str] = None
-    max_workers: Optional[int] = None
-    parallel_min_facts: Optional[int] = None
-    shard_factor: Optional[int] = None
-    sql_min_facts: Optional[int] = None
-    sql_stmt_cache: Optional[int] = None
-    columnar_min_facts: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.method, str) or self.method not in KNOWN_METHODS:
@@ -112,20 +71,11 @@ class ExecutionOptions:
                 f"unknown method {self.method!r}; expected one of "
                 f"{KNOWN_METHODS}"
             )
-        for name in _POSITIVE_FIELDS:
-            value = getattr(self, name)
-            if value is not None and (
-                not isinstance(value, int) or isinstance(value, bool)
-                or value < 1
-            ):
-                raise OptionsError(f"{name} must be a positive integer")
-        for name in _NONNEGATIVE_FIELDS:
-            value = getattr(self, name)
-            if value is not None and (
-                not isinstance(value, int) or isinstance(value, bool)
-                or value < 0
-            ):
-                raise OptionsError(f"{name} must be a non-negative integer")
+        if self.jobs is not None and (
+            not isinstance(self.jobs, int) or isinstance(self.jobs, bool)
+            or self.jobs < 1
+        ):
+            raise OptionsError("jobs must be a positive integer")
         if not isinstance(self.trace, bool):
             raise OptionsError("trace must be a boolean")
         if self.trace_file is not None and not isinstance(self.trace_file, str):
@@ -188,13 +138,13 @@ class ExecutionOptions:
     ) -> "ExecutionOptions":
         """Env-derived defaults with explicit overrides winning.
 
-        Reads the same variables as :meth:`RunConfig.from_env`; a
-        ``None`` override keeps the env-derived value (the established
-        overrides-beat-env pattern).
+        The one reader of ``REPRO_TRACE_FILE`` (the ``trace_file``
+        fallback); a ``None`` override keeps the env-derived value.
         """
-        base = RunConfig.from_env(env)
+        if env is None:
+            env = os.environ
         merged: Dict[str, Any] = {
-            name: getattr(base, name) for name in _SHARED_CONFIG_FIELDS
+            "trace_file": (env.get("REPRO_TRACE_FILE") or "").strip() or None,
         }
         for key, value in overrides.items():
             if value is not None:
@@ -235,21 +185,6 @@ class ExecutionOptions:
     def tracing(self) -> bool:
         """Is tracing requested (explicitly or via a trace file)?"""
         return self.trace or self.trace_file is not None
-
-    def run_config(self) -> RunConfig:
-        """The :class:`RunConfig` this call runs under: set fields win,
-        unset fields fall back to the environment."""
-        return RunConfig.from_env(
-            jobs=self.jobs,
-            max_workers=self.max_workers,
-            parallel_min_facts=self.parallel_min_facts,
-            shard_factor=self.shard_factor,
-            trace=self.trace or None,
-            trace_file=self.trace_file,
-            sql_min_facts=self.sql_min_facts,
-            sql_stmt_cache=self.sql_stmt_cache,
-            columnar_min_facts=self.columnar_min_facts,
-        )
 
     def make_tracer(self) -> Optional[Any]:
         """A fresh :class:`~repro.obs.trace.Tracer` when tracing is on."""

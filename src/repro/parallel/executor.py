@@ -13,8 +13,9 @@ Serial fallback — running the plain ``compiled`` path in-process — is
 taken whenever sharding cannot help or cannot be trusted:
 
 * ``jobs <= 1``, or the platform cannot ``fork``;
-* the database is below ``REPRO_PARALLEL_MIN_FACTS`` (default 2000),
-  where fork + IPC overhead dwarfs the work;
+* the database is below ``min_facts`` (default
+  :data:`DEFAULT_MIN_FACTS`), where fork + IPC overhead dwarfs the
+  work;
 * the query is Boolean (certainty does not decompose over shards —
   see the counterexample in ``docs/PERFORMANCE.md``);
 * no answer variable sits at a key position of any atom, so there is
@@ -36,10 +37,9 @@ from typing import Dict, FrozenSet, Optional, Tuple
 from ..db.database import Database
 from ..fo.compile import plan_cache
 from ..fo.plan import Plan
-from ..obs.config import RunConfig
 from ..obs.trace import NULL_TRACER
 from .partition import shard_database, shard_spec
-from .pool import fork_context, max_workers_cap, run_sharded, worker_pool
+from .pool import fork_context, run_sharded, worker_pool
 
 __all__ = [
     "parallel_certain_answers",
@@ -47,6 +47,10 @@ __all__ = [
     "reset_parallel_stats",
     "plan_has_adom",
 ]
+
+#: Below this many facts the parallel path falls back to serial
+#: (fork + IPC overhead dwarfs the work).
+DEFAULT_MIN_FACTS = 2000
 
 # Shards per worker.  Far more shards than workers, so each shard's
 # per-relation indexes stay cache-resident: on the benchmark host the
@@ -87,7 +91,6 @@ def reset_parallel_stats() -> None:
     _STATS.update(
         runs=0,
         parallel_runs=0,
-        columnar_runs=0,
         serial_fallbacks=0,
         fallback_reasons={},
         shards=0,
@@ -135,34 +138,15 @@ def plan_has_adom(plan: Plan) -> bool:
     return plan_uses_adom(plan)
 
 
-def resolve_jobs(jobs: Optional[int],
-                 config: Optional[RunConfig] = None) -> int:
-    """The effective worker count: explicit ``jobs``, then the config's
-    ``jobs``, then the CPU count — clamped by the config's
-    ``max_workers`` (falling back to the ``REPRO_MAX_WORKERS`` env
-    cap when no config carries one)."""
-    if config is not None:
-        if config.max_workers is not None:
-            return config.resolved_jobs(jobs)
-        n = config.resolved_jobs(jobs)
-    else:
-        n = jobs if jobs is not None else (os.cpu_count() or 1)
-    cap = max_workers_cap()
-    if cap is not None:
-        n = min(n, cap)
-    return max(1, n)
-
-
 def _fallback(open_query, db: Database, reason: str,
-              tracer=NULL_TRACER, backend: str = "tuple") -> FrozenSet[Tuple]:
+              tracer=NULL_TRACER) -> FrozenSet[Tuple]:
     from ..cqa.certain_answers import certain_answers
 
     _STATS["serial_fallbacks"] += 1  # type: ignore[operator]
     reasons: Dict[str, int] = _STATS["fallback_reasons"]  # type: ignore[assignment]
     reasons[reason] = reasons.get(reason, 0) + 1
     tracer.event("parallel-fallback", reason=reason)
-    method = "columnar" if backend == "columnar" else "compiled"
-    return certain_answers(open_query, db, method, tracer=tracer)
+    return certain_answers(open_query, db, "compiled", tracer=tracer)
 
 
 def parallel_certain_answers(
@@ -171,59 +155,47 @@ def parallel_certain_answers(
     jobs: Optional[int] = None,
     min_facts: Optional[int] = None,
     shard_factor: Optional[int] = None,
-    config: Optional[RunConfig] = None,
     tracer=None,
-    backend: str = "tuple",
 ) -> FrozenSet[Tuple]:
     """All certain answers of q(x⃗) on db, computed shard-parallel.
 
     Returns exactly ``certain_answers(open_query, db, "compiled")`` —
     the point is wall-clock, not semantics.  ``jobs=None`` uses the
-    CPU count; see the module docstring for the serial-fallback
-    conditions.  ``shard_factor`` controls over-partitioning: with
-    ``jobs * shard_factor`` shards in the work queue, workers that
-    finish early pick up remaining chunks, and smaller shards keep
-    per-shard hash tables cache-resident.
+    CPU count and ``min_facts=None`` :data:`DEFAULT_MIN_FACTS`; see the
+    module docstring for the serial-fallback conditions.
+    ``shard_factor`` (None: :data:`DEFAULT_SHARD_FACTOR`) controls
+    over-partitioning: with ``jobs * shard_factor`` shards in the work
+    queue, workers that finish early pick up remaining chunks, and
+    smaller shards keep per-shard hash tables cache-resident.
 
-    ``config`` (a :class:`repro.obs.RunConfig`) supplies fallback
-    defaults for ``jobs``/``min_facts``/``shard_factor`` and the
-    worker cap; explicit arguments win.  ``tracer`` records partition/
-    merge spans, one span per worker group (shards owned, rows
-    produced, in-shard execution time), and fallback events.
-
-    ``backend`` selects the per-shard executor: ``"tuple"`` (default)
-    runs the row executor, ``"columnar"`` the vectorized one — the
-    parent then primes every shard's columnar store with its own
-    shared value dictionary *before* forking, so workers ship compact
-    int columns instead of pickled tuple sets (see
-    :mod:`repro.parallel.pool`).  Serial fallbacks preserve the backend
-    choice.
+    ``tracer`` records partition/merge spans, one span per worker group
+    (shards owned, rows produced, in-shard execution time), and
+    fallback events.
     """
     from ..cqa.certain_answers import _guarded_open_rewriting
 
     t = tracer if tracer is not None else NULL_TRACER
     if shard_factor is None:
-        shard_factor = (config.shard_factor if config is not None
-                        and config.shard_factor is not None
-                        else DEFAULT_SHARD_FACTOR)
+        shard_factor = DEFAULT_SHARD_FACTOR
+    if min_facts is None:
+        min_facts = DEFAULT_MIN_FACTS
     _STATS["runs"] += 1  # type: ignore[operator]
-    n_jobs = resolve_jobs(jobs, config)
+    n_jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
     if not open_query.free:
-        return _fallback(open_query, db, "boolean", t, backend)
+        return _fallback(open_query, db, "boolean", t)
     if n_jobs <= 1:
-        return _fallback(open_query, db, "jobs=1", t, backend)
-    if db.size() < (config or RunConfig.from_env()).resolved_min_facts(
-            min_facts):
-        return _fallback(open_query, db, "below-min-facts", t, backend)
+        return _fallback(open_query, db, "jobs=1", t)
+    if db.size() < min_facts:
+        return _fallback(open_query, db, "below-min-facts", t)
     if fork_context() is None:
-        return _fallback(open_query, db, "no-fork", t, backend)
+        return _fallback(open_query, db, "no-fork", t)
     spec = shard_spec(open_query, db)
     if spec is None:
-        return _fallback(open_query, db, "no-shard-variable", t, backend)
+        return _fallback(open_query, db, "no-shard-variable", t)
     formula = _guarded_open_rewriting(open_query)
     compiled = plan_cache.get_or_compile(formula, db, open_query.free)
     if plan_has_adom(compiled.plan):
-        return _fallback(open_query, db, "plan-touches-adom", t, backend)
+        return _fallback(open_query, db, "plan-touches-adom", t)
 
     n_shards = max(2, n_jobs * max(1, shard_factor))
     filter_pos = compiled.free.index(spec.var)
@@ -248,26 +220,9 @@ def parallel_certain_answers(
             partitioned["fresh"] = True
             shards = shard_database(db, spec, n_shards)
             _shards_cache[layout_key] = shards
-        if backend == "columnar":
-            # Prime every shard's store with the PARENT's dictionary
-            # before the fork (the factory runs inside ``worker_pool``,
-            # pre-fork on every pool miss): workers then inherit codes
-            # for every fact and plan value and never need to assign
-            # their own on the hot path.
-            from ..columnar import columnar_store, prime_plan_values
-
-            parent_store = columnar_store(db)
-            parent_store.prime(db)
-            prime_plan_values(parent_store, compiled.plan,
-                              compiled.constants)
-            for shard in shards:
-                columnar_store(shard, parent_store.dictionary).prime(shard)
         return shards
 
-    # The backend is part of the pool identity: columnar pools must be
-    # forked after their shards were primed, so a warm tuple pool can
-    # never serve columnar tasks (and vice versa).
-    cache_key = (db.clock, n_jobs, n_shards, spec, backend)
+    cache_key = (db.clock, n_jobs, n_shards, spec)
     got = worker_pool(db, cache_key, n_jobs, n_shards, factory)
     if got is None:
         return _fallback(open_query, db, "no-fork", t)
@@ -277,20 +232,12 @@ def parallel_certain_answers(
         _STATS["partition_ms"] += partition_seconds * 1e3  # type: ignore[operator]
         t.record("partition", partition_seconds, shards=n_shards)
 
-    dictionary = None
-    if backend == "columnar":
-        from ..columnar import columnar_store
-
-        dictionary = columnar_store(db).dictionary
     merged, merge_seconds, exec_seconds, worker_infos = run_sharded(
         pools, compiled.plan, compiled.constants, filter_pos, do_filter,
-        backend=backend, dictionary=dictionary,
     )
     _STATS["merge_ms"] += merge_seconds * 1e3  # type: ignore[operator]
     _STATS["worker_exec_ms"] += exec_seconds * 1e3  # type: ignore[operator]
     _STATS["parallel_runs"] += 1  # type: ignore[operator]
-    if backend == "columnar":
-        _STATS["columnar_runs"] += 1  # type: ignore[operator]
     _STATS["shards"] = n_shards
     _STATS["workers"] = n_jobs
     _STATS["tasks"] += n_jobs  # type: ignore[operator]

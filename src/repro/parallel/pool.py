@@ -26,10 +26,8 @@ Two lifecycle decisions matter for steady-state latency:
 Pools are cached per (database identity, changelog clock, shard
 layout): repeated certain-answer calls against an unchanged database
 reuse the warm pool, while any mutation bumps ``Database.clock`` and
-transparently retires the stale pool.  ``REPRO_MAX_WORKERS`` caps the
-worker count (CI sets it to keep smoke jobs tame), and
-:func:`shutdown_pools` — also registered ``atexit`` — tears everything
-down.
+transparently retires the stale pool.  :func:`shutdown_pools` — also
+registered ``atexit`` — tears everything down.
 
 Fork safety of process-wide caches: each worker inherits a snapshot of
 the parent's ``repro.fo.compile.plan_cache`` (and every other module
@@ -50,7 +48,6 @@ import multiprocessing
 import os
 import pickle
 import time
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -58,9 +55,8 @@ from ..db.database import Database
 from ..fo.plan import Executor, Plan
 from .partition import shard_of
 
-__all__ = ["max_workers_cap", "fork_context", "worker_pool", "run_sharded",
-           "shutdown_pools", "admission_slots", "PoolRegistry",
-           "pool_registry"]
+__all__ = ["fork_context", "worker_pool", "run_sharded", "shutdown_pools",
+           "admission_slots", "PoolRegistry", "pool_registry"]
 
 _POOL_CACHE_LIMIT = 4
 
@@ -74,14 +70,6 @@ def admission_slots(jobs: int) -> int:
     daemon queues requests instead of oversubscribing cores.
     """
     return max(1, min(jobs, os.cpu_count() or 1))
-
-
-def max_workers_cap() -> Optional[int]:
-    """The ``REPRO_MAX_WORKERS`` env cap, if set and positive."""
-    raw = os.environ.get("REPRO_MAX_WORKERS", "").strip()
-    if raw.isdigit() and int(raw) > 0:
-        return int(raw)
-    return None
 
 
 def fork_context() -> Optional[multiprocessing.context.BaseContext]:
@@ -104,14 +92,6 @@ def fork_context() -> Optional[multiprocessing.context.BaseContext]:
 _group_shards: List[Tuple[int, Database]] = []
 _group_n_shards: int = 0
 _group_admission = None
-
-# Columnar fork-safety horizon: the length of the shared value
-# dictionary at fork time.  The dictionary is append-only, so parent
-# and worker agree on the meaning of every code below this length
-# forever; a worker result containing any code at or above it (a value
-# first seen post-fork) must ship decoded values instead of raw codes.
-# ``None`` when the shards carry no primed columnar store.
-_group_safe_codes: Optional[int] = None
 
 # Plan-cache counters already reported to the parent: each call ships
 # only the delta since the previous report, so the parent can fold the
@@ -145,18 +125,10 @@ def _init_group(shards: List[Database], indices: Sequence[int],
     # Under fork these arguments re-bind inherited objects; nothing is
     # serialized.  Freezing the inherited heap keeps worker GC cycles
     # from traversing the parent snapshot (or dirtying its COW pages).
-    global _group_shards, _group_n_shards, _group_admission, _group_safe_codes
+    global _group_shards, _group_n_shards, _group_admission
     _group_shards = [(i, shards[i]) for i in indices]
     _group_n_shards = n_shards
     _group_admission = admission
-    # The initializer runs in the freshly forked child before any task,
-    # so the inherited dictionary length IS the fork-time length.
-    _group_safe_codes = None
-    for _, shard_db in _group_shards:
-        store = getattr(shard_db, "_columnar_store", None)
-        if store is not None:
-            _group_safe_codes = len(store.dictionary)
-        break
     gc.freeze()
 
 
@@ -178,96 +150,31 @@ def _run_group(task: Tuple) -> Tuple[bytes, float, Dict[str, object]]:
     are pairwise disjoint and merge by plain union.  Fully sharded
     layouts need no filter: every scanned row already carries a
     shard-local value at the routing position.
-
-    ``backend="columnar"`` runs the vectorized executor instead and
-    ships compact int columns (``("C", n, width, column bytes)``) when
-    every emitted code predates the fork (see ``_group_safe_codes``),
-    falling back to decoded value rows (``("V", rows)``) otherwise.
     """
-    plan, constants, filter_pos, do_filter, backend = task
-    out: List[object] = []
+    plan, constants, filter_pos, do_filter = task
+    out: List[List[Tuple]] = []
     total_rows = 0
     exec_seconds = 0.0
     for index, shard_db in _group_shards:
-        if backend == "columnar":
-            from ..columnar import VectorExecutor, columnar_store
-
-            store = columnar_store(shard_db)
-            with _group_admission:
-                t0 = time.perf_counter()
-                batch = VectorExecutor(shard_db, constants,
-                                       store=store).run(plan)
-                exec_seconds += time.perf_counter() - t0
-            if do_filter and batch.length:
-                values = store.dictionary.values
-                col = batch.column(filter_pos)
-                sel = [
-                    i for i, code in enumerate(col)
-                    if shard_of(values[code], _group_n_shards) == index
-                ]
-                if len(sel) != batch.length:
-                    batch = batch.select(sel)
-            total_rows += batch.length
-            out.append(_encode_columnar_shard(batch, store.dictionary))
+        with _group_admission:
+            t0 = time.perf_counter()
+            rows = Executor(shard_db, None, constants).run(plan)
+            exec_seconds += time.perf_counter() - t0
+        if do_filter:
+            kept = [
+                row for row in rows
+                if shard_of(row[filter_pos], _group_n_shards) == index
+            ]
         else:
-            with _group_admission:
-                t0 = time.perf_counter()
-                rows = Executor(shard_db, None, constants).run(plan)
-                exec_seconds += time.perf_counter() - t0
-            if do_filter:
-                kept = [
-                    row for row in rows
-                    if shard_of(row[filter_pos], _group_n_shards) == index
-                ]
-            else:
-                kept = list(rows)
-            total_rows += len(kept)
-            out.append(kept)
+            kept = list(rows)
+        total_rows += len(kept)
+        out.append(kept)
     counters: Dict[str, object] = {
         "shards": len(_group_shards),
         "rows": total_rows,
         "plan_cache": _cache_stats_delta(),
     }
     return _encode_rows(out), exec_seconds, counters
-
-
-def _encode_columnar_shard(batch, dictionary) -> Tuple:
-    """One shard's columnar answers, as the cheapest safe wire form.
-
-    Raw code columns (near-memcpy on both ends) whenever every code was
-    assigned before the fork — the append-only dictionary guarantees
-    the parent reads them back as the same values.  Any younger code
-    means the worker saw a value the parent may have coded differently
-    (or never), so the rows are decoded worker-side and marshaled as
-    values instead.
-    """
-    safe = _group_safe_codes
-    if batch.length == 0:
-        return ("C", 0, batch.width, [b""] * batch.width)
-    if safe is not None and all(
-        max(col) < safe for col in batch.columns
-    ):
-        return ("C", batch.length, batch.width,
-                [col.tobytes() for col in batch.columns])
-    return ("V", list(batch.to_rows(dictionary)))
-
-
-def _decode_columnar_shard(entry: Tuple, dictionary) -> List[Tuple]:
-    if entry[0] == "V":
-        return entry[1]
-    _, n, width, blobs = entry
-    if n == 0:
-        return []
-    if width == 0:
-        return [()]
-    values = dictionary.values
-    columns = []
-    for blob in blobs:
-        col = array("q")
-        col.frombytes(blob)
-        columns.append(col)
-    decoded = [map(values.__getitem__, col) for col in columns]
-    return list(zip(*decoded))
 
 
 def _encode_rows(groups: List[List[Tuple]]) -> bytes:
@@ -425,8 +332,6 @@ def run_sharded(
     constants: Sequence,
     filter_pos: int,
     do_filter: bool,
-    backend: str = "tuple",
-    dictionary=None,
 ) -> Tuple[Set[Tuple], float, float, List[Dict[str, object]]]:
     """Fan one plan out to every pinned worker and union the answers.
 
@@ -436,17 +341,13 @@ def run_sharded(
     shard answer sets are disjoint, so the union is order-insensitive
     anyway.
 
-    ``backend="columnar"`` makes workers run the vectorized executor
-    and ship int columns; ``dictionary`` (the parent database's shared
-    value dictionary) is then required to decode them.
-
     Returns ``(merged, merge_seconds, exec_seconds, worker_infos)``;
     each worker info carries the worker index, its cumulative in-shard
     execution time, its answer-row and shard counts, and the worker's
     plan-cache counter delta — the raw material for per-shard spans
     and for merging worker-side counters into the parent's metrics.
     """
-    task = (plan, tuple(constants), filter_pos, do_filter, backend)
+    task = (plan, tuple(constants), filter_pos, do_filter)
     futures = [pool.submit(_run_group, task) for pool in pools]
     merged: Set[Tuple] = set()
     merge_seconds = 0.0
@@ -460,12 +361,8 @@ def run_sharded(
         info["exec_seconds"] = group_exec
         worker_infos.append(info)
         t0 = time.perf_counter()
-        if backend == "columnar":
-            for entry in _decode_rows(blob):
-                merged.update(_decode_columnar_shard(entry, dictionary))
-        else:
-            for rows in _decode_rows(blob):
-                merged.update(rows)
+        for rows in _decode_rows(blob):
+            merged.update(rows)
         merge_seconds += time.perf_counter() - t0
     return merged, merge_seconds, exec_seconds, worker_infos
 

@@ -15,18 +15,16 @@ See ``docs/STORAGE.md`` for the file formats and recovery protocol.
 
 from .chaos import run_chaos
 from .pushdown import (
-    DEFAULT_SQL_MIN_FACTS,
-    DEFAULT_SQL_STMT_CACHE,
+    SQL_MIN_FACTS,
+    SQL_STMT_CACHE_SIZE,
     SQLiteMirror,
     mirror_capable,
     native_sql_answers,
     native_sql_holds,
     prefer_sql,
     sql_mirror,
-    sql_min_facts,
-    sql_stmt_cache_size,
 )
-from .sqlgen import CompiledSQL, compile_plan, supports_plan
+from .sqlgen import CompiledSQL, compile_plan
 from .snapshot import SnapshotError, list_snapshots, read_snapshot, write_snapshot
 from .stats import reset_storage_stats, storage_stats
 from .store import (
@@ -63,13 +61,10 @@ __all__ = [
     "native_sql_answers",
     "native_sql_holds",
     "prefer_sql",
-    "sql_min_facts",
-    "sql_stmt_cache_size",
-    "DEFAULT_SQL_MIN_FACTS",
-    "DEFAULT_SQL_STMT_CACHE",
+    "SQL_MIN_FACTS",
+    "SQL_STMT_CACHE_SIZE",
     "CompiledSQL",
     "compile_plan",
-    "supports_plan",
     "checkpoint_threshold_bytes",
     "DEFAULT_CHECKPOINT_BYTES",
     "storage_stats",

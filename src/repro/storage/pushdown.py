@@ -1,4 +1,4 @@
-"""SQL pushdown: certain answers as one query over a persistent mirror.
+"""SQL pushdown: certain answers as one query over a sqlite mirror.
 
 The paper's practicality claim — a consistent first-order rewriting is
 a single SQL query over the *inconsistent* database — runs natively
@@ -29,12 +29,14 @@ update share one sqlite transaction, so the file is never at an
 in-between version: a crash rolls back to the previous clock and the
 next attach rebuilds.
 
+Any other database gets a private ``:memory:`` mirror on its first
+``method="sql"`` call, kept in step by the same changelog
+subscription, so ``sql`` runs the plan-IR compiler everywhere.
+
 Routing: :func:`prefer_sql` is the cost gate ``method="auto"`` consults
 *before* :func:`repro.columnar.prefer_columnar`.  SQL wins when the
-database is mirror-backed (plain in-memory databases are never
-rerouted), the plan has a native translation (QP110 reports the rare
-unsupported shapes), and the store holds at least
-``REPRO_SQL_MIN_FACTS`` facts.
+database is a persistent store (plain in-memory databases are never
+rerouted) holding at least :data:`SQL_MIN_FACTS` facts.
 """
 
 from __future__ import annotations
@@ -52,21 +54,18 @@ from ..columnar.relation import ColumnarRelation
 from ..db.changelog import Changelog
 from ..db.database import Database
 from ..fo.sql import decode_value, encode_value, table_name
-from ..obs.config import (
-    DEFAULT_SQL_MIN_FACTS,
-    DEFAULT_SQL_STMT_CACHE,
-    RunConfig,
-)
-from .sqlgen import ADOM_TABLE, compile_plan, plan_relations, supports_plan
+from .sqlgen import ADOM_TABLE, compile_plan, plan_relations
 from .stats import STATS
 
 __all__ = ["SQLiteMirror", "sql_mirror", "mirror_capable", "prefer_sql",
-           "native_sql_answers", "native_sql_holds", "count_legacy_sql",
-           "sql_min_facts", "sql_stmt_cache_size", "DEFAULT_SQL_MIN_FACTS",
-           "DEFAULT_SQL_STMT_CACHE", "MIRROR_FORMAT"]
+           "native_sql_answers", "native_sql_holds", "SQL_MIN_FACTS",
+           "SQL_STMT_CACHE_SIZE", "MIRROR_FORMAT"]
 
 MIRROR_FILE = "mirror.sqlite"
 _MIRROR_ATTR = "_sql_mirror"
+#: Serializes lazy attaches: two server threads racing on a database's
+#: first ``sql`` call must not both subscribe a mirror.
+_ATTACH_LOCK = threading.Lock()
 _META_TABLE = "repro_meta"
 _DICT_TABLE = "repro_dict"
 _INTERNAL_TABLES = frozenset((_META_TABLE, _DICT_TABLE, ADOM_TABLE))
@@ -75,15 +74,13 @@ _INTERNAL_TABLES = frozenset((_META_TABLE, _DICT_TABLE, ADOM_TABLE))
 #: any pre-integer TEXT mirror) forces one full rebuild.
 MIRROR_FORMAT = "2"
 
+#: Below this many facts the per-query overhead of sqlite (statement
+#: lookup, bulk decode) beats the in-memory executors, so ``auto``
+#: keeps a store off the mirror.
+SQL_MIN_FACTS = 4096
 
-def sql_min_facts() -> int:
-    """The ``REPRO_SQL_MIN_FACTS`` routing threshold."""
-    return RunConfig.from_env().resolved_sql_min_facts()
-
-
-def sql_stmt_cache_size() -> int:
-    """The ``REPRO_SQL_STMT_CACHE`` statement-cache capacity."""
-    return RunConfig.from_env().resolved_sql_stmt_cache()
+#: Compiled-statement LRU entries per mirror.
+SQL_STMT_CACHE_SIZE = 64
 
 
 def _dict_text(value: object) -> str:
@@ -132,7 +129,6 @@ class SQLiteMirror:
         self._known: set = set()
         self._dict_rows = 0
         self._stmt_cache: "OrderedDict[Tuple, object]" = OrderedDict()
-        self._stmt_capacity = sql_stmt_cache_size()
         self._ensure_meta()
         if (self._meta("format") != MIRROR_FORMAT
                 or self._meta_clock() != db.clock
@@ -359,51 +355,37 @@ class SQLiteMirror:
         # schema count so a post-attach ``add_relation`` recompiles
         # scans that previously compiled to the empty relation.
         key = (compiled.plan, probe, len(self.db.schemas))
-        if self._stmt_capacity:
-            hit = self._stmt_cache.get(key)
-            if hit is not None:
-                self._stmt_cache.move_to_end(key)
-                STATS["pushdown"]["stmt_cache_hits"] += 1
-                return hit
-            STATS["pushdown"]["stmt_cache_misses"] += 1
+        hit = self._stmt_cache.get(key)
+        if hit is not None:
+            self._stmt_cache.move_to_end(key)
+            STATS["pushdown"]["stmt_cache_hits"] += 1
+            return hit
+        STATS["pushdown"]["stmt_cache_misses"] += 1
         stmt = compile_plan(compiled.plan, self.db.schemas,
                             compiled.constants, probe=probe)
-        if self._stmt_capacity:
-            self._stmt_cache[key] = stmt
-            while len(self._stmt_cache) > self._stmt_capacity:
-                self._stmt_cache.popitem(last=False)
+        self._stmt_cache[key] = stmt
+        while len(self._stmt_cache) > SQL_STMT_CACHE_SIZE:
+            self._stmt_cache.popitem(last=False)
         return stmt
 
-    def _execute(self, compiled, probe: bool):
-        plan = compiled.plan
-        if not supports_plan(plan):
-            return None
-        self.ensure_tables(plan_relations(plan))
+    def _execute(self, compiled, probe: bool) -> sqlite3.Cursor:
+        self.ensure_tables(plan_relations(compiled.plan))
         stmt = self._statement(compiled, probe)
         encode = self.dictionary.encode
         params = [encode(v) for v in stmt.params]
-        return stmt, self.conn.execute(stmt.sql, params)
+        return self.conn.execute(stmt.sql, params)
 
-    def holds(self, compiled) -> Optional[bool]:
-        """Run the boolean probe form; None when unsupported."""
+    def holds(self, compiled) -> bool:
+        """Run the boolean probe form."""
         with self._lock:
-            executed = self._execute(compiled, probe=True)
-            if executed is None:
-                return None
-            _, cur = executed
-            return bool(cur.fetchone()[0])
+            return bool(self._execute(compiled, probe=True).fetchone()[0])
 
-    def answers(self, compiled) -> Optional[FrozenSet[Tuple]]:
+    def answers(self, compiled) -> FrozenSet[Tuple]:
         """Run the answer form, decoding code columns in bulk."""
         if not compiled.free:
-            held = self.holds(compiled)
-            return None if held is None else (
-                frozenset({()}) if held else frozenset())
+            return frozenset({()}) if self.holds(compiled) else frozenset()
         with self._lock:
-            executed = self._execute(compiled, probe=False)
-            if executed is None:
-                return None
-            _, cur = executed
+            cur = self._execute(compiled, probe=False)
             batch = ColumnarRelation.from_code_rows(compiled.free, cur)
         return frozenset(batch.to_rows(self.dictionary))
 
@@ -435,7 +417,7 @@ class SQLiteMirror:
             "dictionary_codes": self._dict_rows,
             "stmt_cache": {
                 "entries": len(self._stmt_cache),
-                "capacity": self._stmt_capacity,
+                "capacity": SQL_STMT_CACHE_SIZE,
                 "hits": pushdown["stmt_cache_hits"],
                 "misses": pushdown["stmt_cache_misses"],
                 "hit_rate": (round(pushdown["stmt_cache_hits"] / lookups, 4)
@@ -453,78 +435,52 @@ class SQLiteMirror:
 
 
 def mirror_capable(db: Database) -> bool:
-    """Only an *open* persistent store carries a mirror."""
+    """Is ``db`` an *open* persistent store (a file-backed mirror)?"""
     return bool(getattr(db, "is_open", False)) and hasattr(db, "storage_status")
 
 
-def sql_mirror(db: Database) -> Optional[SQLiteMirror]:
-    """The database's mirror, attached lazily; ``None`` off-store."""
-    if not mirror_capable(db):
-        return None
+def sql_mirror(db: Database) -> SQLiteMirror:
+    """The database's mirror, attached lazily: ``mirror.sqlite`` in an
+    open store's directory, a private ``:memory:`` file otherwise."""
     mirror = getattr(db, _MIRROR_ATTR, None)
     if mirror is None:
-        mirror = SQLiteMirror(db, pathlib.Path(db.path) / MIRROR_FILE)
-        setattr(db, _MIRROR_ATTR, mirror)
+        with _ATTACH_LOCK:
+            mirror = getattr(db, _MIRROR_ATTR, None)
+            if mirror is None:
+                path = (pathlib.Path(db.path) / MIRROR_FILE
+                        if mirror_capable(db) else pathlib.Path(":memory:"))
+                mirror = SQLiteMirror(db, path)
+                setattr(db, _MIRROR_ATTR, mirror)
     return mirror
 
 
-def native_sql_answers(compiled, db: Database) -> Optional[FrozenSet[Tuple]]:
-    """Answer rows of a compiled query, entirely inside sqlite.
-
-    ``None`` when the database carries no mirror or the plan has no
-    native translation — callers fall back to the legacy formula-SQL
-    path (which always loads a fresh in-memory connection; the
-    integer-coded mirror cannot run TEXT-encoded formula SQL).
-    """
-    mirror = sql_mirror(db)
-    if mirror is None:
-        return None
-    result = mirror.answers(compiled)
-    if result is not None:
-        STATS["pushdown"]["routed_sql"] += 1
-        STATS["pushdown"]["native_sql"] += 1
+def native_sql_answers(compiled, db: Database) -> FrozenSet[Tuple]:
+    """Answer rows of a compiled query, entirely inside sqlite."""
+    result = sql_mirror(db).answers(compiled)
+    STATS["pushdown"]["routed_sql"] += 1
+    STATS["pushdown"]["native_sql"] += 1
     return result
 
 
-def native_sql_holds(compiled, db: Database) -> Optional[bool]:
-    """Boolean certainty probe inside sqlite; ``None`` when unsupported."""
-    mirror = sql_mirror(db)
-    if mirror is None:
-        return None
-    result = mirror.holds(compiled)
-    if result is not None:
-        STATS["pushdown"]["routed_sql"] += 1
-        STATS["pushdown"]["native_sql"] += 1
+def native_sql_holds(compiled, db: Database) -> bool:
+    """Boolean certainty probe inside sqlite."""
+    result = sql_mirror(db).holds(compiled)
+    STATS["pushdown"]["routed_sql"] += 1
+    STATS["pushdown"]["native_sql"] += 1
     return result
 
 
-def count_legacy_sql() -> None:
-    """Account one formula-SQL fallback execution."""
-    STATS["pushdown"]["legacy_sql"] += 1
-
-
-def prefer_sql(compiled, db: Database, config=None) -> bool:
+def prefer_sql(compiled, db: Database) -> bool:
     """Should ``method="auto"`` push this run down to the mirror?
 
-    Checked before :func:`repro.columnar.prefer_columnar`.  Three
-    gates: the database must be mirror-backed (plain in-memory
-    databases keep their current routing untouched), every plan node
-    must have a native SQL translation (QP110 reports the unsupported
-    shapes — ``Adom*`` plans now qualify, served by the maintained
-    ``repro_adom`` table), and the store must hold at least
-    :func:`sql_min_facts` facts.  ``config`` (a
-    :class:`repro.obs.RunConfig`) overrides the env-derived size
-    threshold — how :class:`repro.obs.ExecutionOptions` reaches this
-    gate.
+    Checked before :func:`repro.columnar.prefer_columnar`.  Two gates:
+    the database must be an open persistent store (plain in-memory
+    databases keep their current routing untouched), holding at least
+    :data:`SQL_MIN_FACTS` facts.
     """
     if not mirror_capable(db):
         return False
-    if not supports_plan(compiled.plan):
-        STATS["pushdown"]["fallback_unsupported"] += 1
-        return False
-    threshold = (config.resolved_sql_min_facts() if config is not None
-                 else sql_min_facts())
-    if db.size() < threshold:
+    if db.size() < SQL_MIN_FACTS:
         STATS["pushdown"]["fallback_small"] += 1
         return False
     return True

@@ -1,14 +1,13 @@
 """Atomic snapshots: the database's relations as int-column images.
 
 A snapshot is one self-contained file from which recovery can rebuild
-the whole fact store without replaying history.  The encoding reuses
-the fork-pool's wire forms (:mod:`repro.parallel.pool`): a snapshot-
-local :class:`~repro.columnar.dictionary.ValueDictionary` assigns dense
-codes to every domain value, each relation is stored as
+the whole fact store without replaying history.  A snapshot-local
+:class:`~repro.columnar.dictionary.ValueDictionary` assigns dense codes
+to every domain value, and each relation is stored as
 ``("C", n_rows, arity, [array('q') column bytes])`` — near-memcpy on
-both ends — and the whole document goes through ``marshal`` (``b"M"``
-prefix) with a transparent pickle fallback (``b"P"``) for exotic value
-types, exactly like the pool's row shipping.
+both ends (readers also accept a ``("V", rows)`` value form).  The
+whole document goes through ``marshal`` (``b"M"`` prefix) with a
+transparent pickle fallback (``b"P"``) for exotic value types.
 
 File layout (integers little-endian)::
 
@@ -77,7 +76,7 @@ def list_snapshots(directory: pathlib.Path) -> List[pathlib.Path]:
 
 def _encode_relation(rows: Set[Row], arity: int,
                      dictionary: ValueDictionary) -> Tuple:
-    """One relation in the pool's int-column wire form."""
+    """One relation in the ``"C"`` int-column form."""
     ordered = list(rows)
     encode = dictionary.encode
     columns = [

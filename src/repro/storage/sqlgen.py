@@ -1,10 +1,11 @@
 """Compile the relational plan IR to one sqlite SELECT.
 
-This is the native half of the SQL pushdown: instead of re-deriving
-SQL from the first-order *formula* (:mod:`repro.fo.sql`, the legacy
-fallback), the PV-verified plan IR — the exact tree the in-memory
-executors run — is translated node-by-node into a chain of
-non-recursive CTEs ending in a single ``SELECT``.  The translation
+This is what ``method="sql"`` runs: instead of re-deriving SQL from
+the first-order *formula* (:mod:`repro.fo.sql`, the paper's
+single-query artifact), the PV-verified plan IR — the exact tree the
+in-memory executors run — is translated node-by-node into a chain of
+non-recursive CTEs ending in a single ``SELECT``.  All twelve plan
+node types translate.  The translation
 targets the integer-encoded mirror of :mod:`repro.storage.pushdown`:
 every column is a :class:`~repro.columnar.dictionary.ValueDictionary`
 code (INTEGER), constants are bound as parameters (encoded per call,
@@ -38,14 +39,13 @@ sqlite cannot discover the identity from the text.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from ..core.atoms import RelationSchema
 from ..fo import plan as ir
 from ..fo.sql import table_name
 
-__all__ = ["CompiledSQL", "compile_plan", "plan_relations", "supports_plan",
-           "ADOM_TABLE"]
+__all__ = ["CompiledSQL", "compile_plan", "plan_relations", "ADOM_TABLE"]
 
 #: The physical active-domain table the mirror maintains from deltas.
 ADOM_TABLE = "repro_adom"
@@ -53,23 +53,6 @@ ADOM_TABLE = "repro_adom"
 #: CTE alias for the per-query active domain (``repro_adom`` plus the
 #: plan's constants, mirroring ``Executor.adom``).
 _ADOM_CTE = "_adom"
-
-_SUPPORTED = frozenset((
-    ir.Scan, ir.Literal, ir.AdomProduct, ir.AdomGuard, ir.AdomEq,
-    ir.Select, ir.Project, ir.Join, ir.SemiJoin, ir.AntiJoin,
-    ir.Union, ir.Difference,
-))
-
-
-def supports_plan(plan: ir.Plan) -> bool:
-    """Does every node of *plan* have a native SQL translation?
-
-    Exact-type membership, not ``isinstance``: an unknown subclass may
-    override execution semantics, so it must not silently inherit its
-    parent's translation.
-    """
-    return all(type(node) in _SUPPORTED for node in ir.plan_nodes(plan))
-
 
 def plan_relations(plan: ir.Plan) -> Set[str]:
     """The relation names the plan scans (tables the query references)."""

@@ -36,9 +36,7 @@ def _fresh() -> Dict[str, Any]:
         "pushdown": {
             "routed_sql": 0,           # queries served by the mirror
             "native_sql": 0,           # of those, plan-IR→SQL native runs
-            "legacy_sql": 0,           # formula-SQL fallback executions
-            "fallback_unsupported": 0,  # plan has no SQL translation (QP110)
-            "fallback_small": 0,       # below REPRO_SQL_MIN_FACTS
+            "fallback_small": 0,       # auto kept a store below SQL_MIN_FACTS
             "mirror_rebuilds": 0,      # full reloads of the sqlite mirror
             "mirror_delta_rows": 0,    # fact rows applied incrementally
             "adom_delta_rows": 0,      # active-domain refcount upserts

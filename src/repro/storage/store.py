@@ -230,9 +230,12 @@ class PersistentDatabase(Database):
         # attached columnar store: its version-tagged scan caches are
         # meaningless against the recovered version counters (the
         # discard_all/replay regression in tests/test_storage_store.py).
+        # A closed store queried with method="sql" got a private
+        # in-memory mirror; the file mirror replaces it after reopen.
         Database.__init__(self)
         if hasattr(self, "_columnar_store"):
             delattr(self, "_columnar_store")
+        self._drop_mirror()
         self._views = []
         self._view_specs = []
         self._wal_records = 0
@@ -339,6 +342,12 @@ class PersistentDatabase(Database):
         self._clock = lsn
         return 1
 
+    def _drop_mirror(self) -> None:
+        mirror = getattr(self, "_sql_mirror", None)
+        if mirror is not None:
+            mirror.close()
+            delattr(self, "_sql_mirror")
+
     def close(self) -> None:
         """Flush and stop.  Committed batches are already durable; the
         store object can be reopened with :meth:`open`."""
@@ -346,10 +355,7 @@ class PersistentDatabase(Database):
             return
         if self.in_batch:
             raise BatchError("cannot close with an open batch; commit first")
-        mirror = getattr(self, "_sql_mirror", None)
-        if mirror is not None:
-            mirror.close()
-            delattr(self, "_sql_mirror")
+        self._drop_mirror()
         # Retire any warm forked worker pools and cached shard layouts
         # still pinned to this object, so close/reopen cycles in a
         # long-running process never leak worker processes.

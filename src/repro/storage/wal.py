@@ -14,9 +14,8 @@ Record framing (all integers little-endian)::
     | 4 bytes  | 4 bytes  | `length` bytes   |
     +----------+----------+------------------+
 
-The payload is a ``marshal``-encoded tuple — the same serializer the
-fork-pool uses for answer rows (:mod:`repro.parallel.pool`), several
-times faster than pickle on tuples of primitive values — of one of::
+The payload is a ``marshal``-encoded tuple — several times faster
+than pickle on tuples of primitive values — of one of::
 
     ("B", lsn, {relation: ([inserted rows], [deleted rows]), ...})
     ("S", lsn, relation, arity, key_size)

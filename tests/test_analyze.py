@@ -157,7 +157,10 @@ def fake_compiled(plan, free=()):
 
 class TestQPRules:
     def test_catalogue_is_complete(self):
-        assert sorted(QP_RULES) == [f"QP1{i:02d}" for i in range(13)]
+        # QP110 (untranslatable SQL plan) is retired: every plan node
+        # type has a native SQL translation.
+        assert sorted(QP_RULES) == [f"QP1{i:02d}" for i in range(13)
+                                    if i != 10]
         for info in QP_RULES.values():
             assert info.summary and info.code.startswith("QP1")
 
@@ -190,61 +193,6 @@ class TestQPRules:
         ctx = AnalysisContext(cost=CostModel().estimate(plan))
         codes = {d.code for d in run_qp_rules(ctx)}
         assert {"QP105", "QP106"} <= codes
-
-    def test_qp110_unsupported_plan_on_large_store(self, tmp_path,
-                                                   monkeypatch):
-        from repro.fo.plan import Plan
-        from repro.storage import PersistentDatabase
-
-        class OpaquePlan(Plan):
-            __slots__ = ()
-
-            def __init__(self):
-                super().__init__((x,))
-
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "0")
-        db = PersistentDatabase(tmp_path / "store")
-        ctx = AnalysisContext(compiled=fake_compiled(OpaquePlan(), (x,)),
-                              free=(x,), db=db)
-        codes = {d.code for d in run_qp_rules(ctx)}
-        assert "QP110" in codes
-        db.close()
-
-    def test_qp110_silent_for_adom_plans(self, tmp_path, monkeypatch):
-        # The maintained repro_adom table gave Adom* plans a native
-        # translation: the old forced-fallback diagnostic must not fire.
-        from repro.storage import PersistentDatabase
-
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "0")
-        db = PersistentDatabase(tmp_path / "store")
-        plan = Project(AdomProduct((x,)), (x,))
-        ctx = AnalysisContext(compiled=fake_compiled(plan, (x,)),
-                              free=(x,), db=db)
-        assert "QP110" not in {d.code for d in run_qp_rules(ctx)}
-        db.close()
-
-    def test_qp110_silent_off_store_or_below_threshold(self, tmp_path,
-                                                       monkeypatch):
-        from repro.fo.plan import Plan
-        from repro.storage import PersistentDatabase
-
-        class OpaquePlan(Plan):
-            __slots__ = ()
-
-            def __init__(self):
-                super().__init__((x,))
-
-        # Plain in-memory database: never routed, never diagnosed.
-        ctx = AnalysisContext(compiled=fake_compiled(OpaquePlan(), (x,)),
-                              free=(x,), db=db_from({}))
-        assert "QP110" not in {d.code for d in run_qp_rules(ctx)}
-        # Store below the routing threshold: the fallback never bites.
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "1000")
-        db = PersistentDatabase(tmp_path / "store")
-        ctx = AnalysisContext(compiled=fake_compiled(OpaquePlan(), (x,)),
-                              free=(x,), db=db)
-        assert "QP110" not in {d.code for d in run_qp_rules(ctx)}
-        db.close()
 
     def test_qp112_constants_fire_with_qp108(self):
         report = analyze_text("P(x | y), not N('c' | y)")

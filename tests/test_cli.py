@@ -263,9 +263,7 @@ class TestDbCommands:
         out = capsys.readouterr().out
         assert "verdict: ok" in out and "integrity:" in out
 
-    def test_stats_text_and_json(self, capsys, poll_file, tmp_path,
-                                 monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "0")
+    def test_stats_text_and_json(self, capsys, poll_file, tmp_path):
         store = str(tmp_path / "store")
         assert main(["db", "init", store, "--from", poll_file]) == 0
         capsys.readouterr()

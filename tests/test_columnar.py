@@ -1,5 +1,5 @@
 """The columnar backend: dictionary encoding, the vector executor,
-store invalidation under update streams, parallel marshaling, routing,
+store invalidation under update streams, routing,
 and the `repro plan --columnar` surface.
 
 The tuple :class:`repro.fo.plan.Executor` is the oracle throughout:
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import db_from
 from repro.cli import main
+from repro.columnar import executor as columnar_executor
 from repro.columnar import (
     ColumnarRelation,
     ValueDictionary,
@@ -57,7 +58,6 @@ from repro.fo.plan import (
 )
 from repro.obs.profile import PlanProfile
 from repro.obs.schema import validate
-from repro.parallel import pool as pool_mod
 from repro.workloads.poll import random_poll_database
 from repro.workloads.queries import poll_q1, poll_qa, poll_qb
 
@@ -398,47 +398,6 @@ class TestCompiledParity:
 
 
 # ----------------------------------------------------------------------
-# parallel marshaling: compact int columns with the value fallback
-# ----------------------------------------------------------------------
-
-
-class TestColumnarMarshal:
-    def _batch(self, rows):
-        d = ValueDictionary()
-        return ColumnarRelation.from_rows((x, y), rows, d), d
-
-    def test_column_form_round_trip(self, monkeypatch):
-        rows = {(1, "a"), (2, "b"), (3, "a")}
-        batch, d = self._batch(rows)
-        monkeypatch.setattr(pool_mod, "_group_safe_codes", len(d))
-        entry = pool_mod._encode_columnar_shard(batch, d)
-        assert entry[0] == "C"
-        assert set(pool_mod._decode_columnar_shard(entry, d)) == rows
-
-    def test_post_fork_codes_fall_back_to_values(self, monkeypatch):
-        rows = {(1, "a"), (2, "b")}
-        batch, d = self._batch(rows)
-        # Pretend the fork happened before 'b' was assigned: any column
-        # carrying its code must ship decoded values, not raw codes.
-        monkeypatch.setattr(pool_mod, "_group_safe_codes", len(d) - 1)
-        entry = pool_mod._encode_columnar_shard(batch, d)
-        assert entry[0] == "V"
-        assert set(pool_mod._decode_columnar_shard(entry, d)) == rows
-
-    def test_unprimed_store_falls_back_to_values(self, monkeypatch):
-        batch, d = self._batch({(1, "a")})
-        monkeypatch.setattr(pool_mod, "_group_safe_codes", None)
-        assert pool_mod._encode_columnar_shard(batch, d)[0] == "V"
-
-    def test_empty_batch(self, monkeypatch):
-        d = ValueDictionary()
-        batch = ColumnarRelation.empty((x, y))
-        monkeypatch.setattr(pool_mod, "_group_safe_codes", 0)
-        entry = pool_mod._encode_columnar_shard(batch, d)
-        assert pool_mod._decode_columnar_shard(entry, d) == []
-
-
-# ----------------------------------------------------------------------
 # cost-model routing for method="auto"
 # ----------------------------------------------------------------------
 
@@ -457,8 +416,8 @@ class TestRouting:
         assert not prefer_columnar(compiled, db)
 
     def test_boolean_never_routes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR_MIN_FACTS", "0")
-        monkeypatch.setenv("REPRO_COLUMNAR_COST", "0")
+        monkeypatch.setattr(columnar_executor, "COLUMNAR_MIN_FACTS", 0)
+        monkeypatch.setattr(columnar_executor, "COLUMNAR_COST_THRESHOLD", 0)
         db = random_poll_database(6, 3, conflict_rate=0.5,
                                   rng=random.Random(2))
         from repro.cqa.rewriting import consistent_rewriting
@@ -469,8 +428,8 @@ class TestRouting:
         assert not prefer_columnar(compiled, db)
 
     def test_auto_upgrades_above_thresholds(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR_MIN_FACTS", "0")
-        monkeypatch.setenv("REPRO_COLUMNAR_COST", "0")
+        monkeypatch.setattr(columnar_executor, "COLUMNAR_MIN_FACTS", 0)
+        monkeypatch.setattr(columnar_executor, "COLUMNAR_COST_THRESHOLD", 0)
         db = random_poll_database(6, 3, conflict_rate=0.5,
                                   rng=random.Random(3))
         oq = OpenQuery(poll_qa(), [p])
@@ -480,8 +439,8 @@ class TestRouting:
         assert answers == certain_answers(oq, db, "compiled")
 
     def test_high_cost_threshold_keeps_tuples(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR_MIN_FACTS", "0")
-        monkeypatch.setenv("REPRO_COLUMNAR_COST", "1e18")
+        monkeypatch.setattr(columnar_executor, "COLUMNAR_MIN_FACTS", 0)
+        monkeypatch.setattr(columnar_executor, "COLUMNAR_COST_THRESHOLD", 1e18)
         db = random_poll_database(6, 3, conflict_rate=0.5,
                                   rng=random.Random(4))
         compiled = self._compiled(db)

@@ -5,7 +5,9 @@ Two layers: hypothesis-generated arbitrary FO sentences (exercising the
 total lowering, including the active-domain fallbacks), and randomized
 sjfBCQ¬ workloads whose consistent rewritings exercise the guarded
 shapes the compiler is optimized for — with negated atoms, constants,
-and empty relations all in scope.
+repeated variables and empty relations all in scope, checked Boolean
+and open, in memory and on a persistent store, one-shot and as an
+incrementally maintained view.
 """
 
 from __future__ import annotations
@@ -18,9 +20,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.atoms import RelationSchema, atom
-from repro.core.classify import Verdict, classify
 from repro.core.terms import Constant, Variable
-from repro.cqa.certain_answers import OpenQuery, cross_validate_answers
+from repro.cqa.certain_answers import (
+    OpenQuery,
+    certain_answers,
+    cross_validate_answers,
+)
 from repro.cqa.engine import CertaintyEngine
 from repro.db.database import Database
 from repro.db.sqlite_backend import run_sentence_sql
@@ -36,10 +41,14 @@ from repro.fo.formula import (
     make_not,
     make_or,
 )
+from repro.storage import PersistentDatabase
 from repro.workloads.generators import (
     QueryParams,
+    UpdateStreamParams,
+    apply_update_stream,
     random_query,
     random_small_database,
+    random_update_stream,
 )
 from repro.workloads.queries import poll_qa, q3, q_hall
 
@@ -126,18 +135,52 @@ QUERY_PARAM_GRID = (
     QueryParams(n_positive=2, n_negative=2, max_arity=3, n_variables=3,
                 constant_probability=0.3),
     QueryParams(n_positive=3, n_negative=1, max_arity=2, n_variables=4),
+    QueryParams(),
 )
 
+#: The plan backends re-run on a persistent store, where ``sql``
+#: executes inside the store's file mirror instead of a private
+#: in-memory one.
+STORE_METHODS = ("compiled", "columnar", "sql")
 
-@pytest.mark.parametrize("seed", range(6))
-def test_random_workload_cross_validation(seed):
-    """Every strategy (brute included) agrees on random FO workloads."""
+#: A short update stream for the registered-view pass.
+VIEW_UPDATES = UpdateStreamParams(n_batches=4, batch_size=3)
+
+#: Enough generated queries that the sweep reaches the shapes that
+#: once broke: rewritings too deep for formula SQL under ``sql``, and
+#: open queries in FO whose Boolean form is not (registered views).
+QUERIES_PER_SEED = 20
+
+
+def _copy_into_store(db: Database, path) -> PersistentDatabase:
+    store = PersistentDatabase(path, sync="off")
+    for schema in db.schemas.values():
+        store.add_relation(schema)
+    with store.batch():
+        for name in db.relations():
+            store.add_all(name, db.facts(name))
+    return store
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_workload_cross_validation(seed, tmp_path):
+    """Every strategy (brute included) agrees on random FO workloads.
+
+    Per generated query with 0-2 random free variables whose open form
+    is in FO: Boolean certainty and the open answers on five small
+    databases; on the last one, the plan backends again on a persistent
+    store, and a view registered through the engine against brute force
+    along an update stream.
+    """
     rng = random.Random(0xBEEF00 + seed)
     params = QUERY_PARAM_GRID[seed % len(QUERY_PARAM_GRID)]
     checked = 0
-    while checked < 4:
+    while checked < QUERIES_PER_SEED:
         query = random_query(params, rng)
-        if classify(query).verdict is not Verdict.IN_FO:
+        variables = sorted(query.vars, key=lambda v: v.name)
+        free = rng.sample(variables, rng.randint(0, min(2, len(variables))))
+        open_query = OpenQuery(query, free)
+        if not open_query.in_fo:
             continue
         checked += 1
         engine = CertaintyEngine(query)
@@ -145,6 +188,21 @@ def test_random_workload_cross_validation(seed):
             db = random_small_database(query, rng, domain_size=3)
             cv = engine.cross_validate(db)
             assert cv.consistent, (query, db, cv.results)
+            results = cross_validate_answers(open_query, db)
+            assert len(set(results.values())) == 1, (open_query, db, results)
+        expected = results["brute"]
+        store = _copy_into_store(db, tmp_path / f"store{checked}")
+        try:
+            for method in STORE_METHODS:
+                got = certain_answers(open_query, store, method)
+                assert got == expected, (open_query, method, db)
+        finally:
+            store.close()
+        view = engine.register_view(db, free)
+        for batch in random_update_stream(db, VIEW_UPDATES, rng):
+            apply_update_stream(db, [batch])
+            assert view.answers == certain_answers(open_query, db, "brute"), (
+                open_query, db)
 
 
 @pytest.mark.parametrize("make_query,free_names", [

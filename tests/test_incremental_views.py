@@ -204,6 +204,21 @@ class TestEngineAPI:
         with pytest.raises(NotInFO):
             CertaintyEngine(cyclic_query()).register_view(db)
 
+    def test_register_open_view_of_cyclic_boolean_query(self):
+        # The paper's q1: the Boolean query's attack graph is cyclic,
+        # but with x free its grounding is in FO.  The engine must
+        # check the open query, as view_manager().register_view does.
+        db = db_from({"R/2/1": [("a", "b"), ("c", "d")],
+                      "S/2/1": [("d", "c")]})
+        engine = CertaintyEngine(cyclic_query())
+        view = engine.register_view(db, [x])
+        oq = OpenQuery(cyclic_query(), [x])
+        assert view.answers == certain_answers(oq, db, "compiled") \
+            == {("a",)}
+        db.discard("S", ("d", "c"))
+        assert view.answers == certain_answers(oq, db, "brute") \
+            == {("a",), ("c",)}
+
     def test_engine_view_stats_shape(self):
         stats = CertaintyEngine(q3()).metrics().views
         assert set(stats) == {"views_registered", "commits_seen",

@@ -3,12 +3,11 @@
 Runs the full 7-method matrix — brute force, the interpreted
 Algorithm 1, the tuple-at-a-time rewriting evaluator, the compiled
 plan, the SQL backend, the columnar vectorized executor, and the
-sharded parallel executor (both backends: tuple and
-columnar-under-parallel) — on generated workloads and asserts
-identical answer sets.  Databases are
-kept small enough for the exponential brute-force oracle; the
-parallel paths run with ``min_facts=0`` so real partitioning, forked
-workers, and merging are exercised even at these sizes.
+sharded parallel executor — on generated workloads and asserts
+identical answer sets.  Databases are kept small enough for the
+exponential brute-force oracle; the parallel path runs with
+``min_facts=0`` so real partitioning, forked workers, and merging are
+exercised even at these sizes.
 """
 
 from __future__ import annotations
@@ -57,8 +56,7 @@ def assert_parity(open_query, db, parallel_jobs=2):
                                      parallel_jobs=parallel_jobs)
     if open_query.in_fo:
         assert set(results) == {"brute", "interpreted", "rewriting",
-                                "compiled", "sql", "columnar",
-                                "parallel", "parallel-columnar"}
+                                "compiled", "sql", "columnar", "parallel"}
     reference = results["brute"]
     for method, answers in results.items():
         assert answers == reference, (
@@ -89,19 +87,13 @@ def test_adversarial_poll_parity(seed, certain):
     assert_parity(OpenQuery(poll_qa(), [p]), db)
 
 
-@needs_fork
 def test_columnar_matches_compiled_beyond_brute_sizes():
-    # Same idea for the vectorized backend: serial columnar and
-    # columnar-under-parallel against the serial compiled plan, at a
+    # The vectorized backend against the serial compiled plan, at a
     # size where dictionary encoding and batch joins do real work.
     db = adversarial_poll_database(800, 12, rng=random.Random(5))
     oq = OpenQuery(poll_qa(), [p])
     serial = certain_answers(oq, db, "compiled")
     assert certain_answers(oq, db, "columnar") == serial
-    for jobs in (2, 3):
-        par = parallel_certain_answers(oq, db, jobs=jobs, min_facts=0,
-                                       shard_factor=4, backend="columnar")
-        assert par == serial
 
 
 @given(seed=st.integers(0, 10**6))
@@ -168,8 +160,7 @@ def test_store_backed_parity(seed, tmp_path_factory):
         assert_parity(OpenQuery(poll_qa(), [p]), store)
         after = storage_stats()["pushdown"]
         assert after["routed_sql"] > routed_before
-        # The mirror ran the compiled plan natively — the legacy
-        # formula-SQL load-and-run path never fired for the store.
+        # The mirror ran the compiled plan natively, as one SELECT.
         assert after["native_sql"] > native_before
     finally:
         store.close()
@@ -284,6 +275,37 @@ def test_boolean_sql_on_in_memory_database():
                               rng=random.Random(3))
     oq = OpenQuery(poll_qa(), ())
     assert certain_answers(oq, db, "sql") == certain_answers(oq, db, "brute")
+
+
+#: A generated query whose rewriting, as formula SQL, nests past
+#: sqlite's parser stack ("parser stack overflow" on any database).
+#: method="sql" compiles the plan IR instead, in memory as on a store.
+DEEP_QUERY = ("P0(v2 | 1), P1(v1, v3 | v1), P2(v1 | v2, v1), "
+              "not N0(v1), not N1(v3 | v1)")
+
+
+@pytest.mark.parametrize("free", [(), ("v2",)], ids=["certain", "answers"])
+@pytest.mark.parametrize("facts", [
+    {"P0/2/1": [(1, 2), (1, 1), (2, 1)], "P1/3/2": [(1, 2, 1), (2, 1, 2)],
+     "P2/3/1": [(2, 1, 1), (1, 2, 1)], "N0/1/1": [(2,)],
+     "N1/2/1": [(1, 2)]},
+    {"P0/2/1": [], "P1/3/2": [], "P2/3/1": [], "N0/1/1": [], "N1/2/1": []},
+], ids=["tiny", "empty"])
+def test_sql_on_in_memory_database_runs_deep_rewritings(free, facts):
+    from conftest import db_from
+    from repro.core.parser import parse_query
+    from repro.cqa.engine import CertaintyEngine
+
+    query = parse_query(DEEP_QUERY)
+    db = db_from(facts)
+    if not free:
+        engine = CertaintyEngine(query)
+        assert engine.certain(db, "sql") == engine.certain(db, "compiled")
+        return
+    oq = OpenQuery(query, [Variable(name) for name in free])
+    expected = certain_answers(oq, db, "compiled")
+    assert certain_answers(oq, db, "sql") == expected
+    assert expected == certain_answers(oq, db, "brute")
 
 
 @pytest.mark.parametrize("free", [(p,), ()], ids=["open", "boolean"])

@@ -4,8 +4,7 @@ Covers the span tracer (nesting, counters, JSONL round-trip, the no-op
 default), per-operator plan profiling and its renderers, trace-on/off
 answer parity for every execution method (the tracer must be a pure
 observer), the unified ``EngineMetrics`` API with its deprecated
-static shims, ``RunConfig`` env consolidation, the worker-counter
-merge bugfix, the JSON-Schema-subset validator, the pinned trace
+static shims, the worker-counter merge bugfix, the JSON-Schema-subset validator, the pinned trace
 document schema, and the new CLI surfaces (``plan --analyze``,
 ``certain/answers --trace [--json] [--trace-out]``).
 """
@@ -30,11 +29,9 @@ from repro.incremental import ViewManager
 from repro.obs import (
     NULL_TRACER,
     EngineMetrics,
-    ExecutionOptions,
     MetricsRegistry,
     NullTracer,
     PlanProfile,
-    RunConfig,
     Tracer,
     collect_metrics,
     profile_tree,
@@ -382,91 +379,6 @@ class TestWorkerCounterMerge:
         second = parallel_stats()["worker_plan_cache"]
         # The second (warm) run ships only deltas: misses cannot repeat.
         assert second["misses"] == first["misses"]
-
-
-# ----------------------------------------------------------------------
-# RunConfig
-# ----------------------------------------------------------------------
-
-
-class TestRunConfig:
-    def test_from_env_reads_consolidated_vars(self):
-        env = {
-            "REPRO_MAX_WORKERS": "3",
-            "REPRO_PARALLEL_MIN_FACTS": "0",
-            "REPRO_TRACE_FILE": "/tmp/t.jsonl",
-            "BENCH_PARALLEL_SMOKE": "1",
-        }
-        config = RunConfig.from_env(env)
-        assert config.max_workers == 3
-        assert config.parallel_min_facts == 0
-        assert config.trace_file == "/tmp/t.jsonl"
-        assert config.parallel_smoke is True
-        assert config.tracing is True  # trace file implies tracing
-
-    def test_from_env_defaults_and_garbage(self):
-        config = RunConfig.from_env({"REPRO_MAX_WORKERS": "banana"})
-        assert config.max_workers is None
-        assert config.parallel_min_facts is None
-        assert config.trace_file is None
-        assert config.tracing is False
-        assert config.make_tracer() is None
-
-    def test_overrides_beat_env(self):
-        env = {"REPRO_MAX_WORKERS": "3", "REPRO_PARALLEL_MIN_FACTS": "100"}
-        config = RunConfig.from_env(env, max_workers=8, trace=True)
-        assert config.max_workers == 8
-        assert config.parallel_min_facts == 100  # None override kept env
-        assert isinstance(config.make_tracer(), Tracer)
-
-    def test_resolved_jobs_clamps(self):
-        config = RunConfig(jobs=4, max_workers=2)
-        assert config.resolved_jobs() == 2
-        assert config.resolved_jobs(1) == 1
-        assert RunConfig().resolved_jobs(6) == 6
-
-    def test_resolved_min_facts(self):
-        assert RunConfig().resolved_min_facts() == 2000
-        assert RunConfig(parallel_min_facts=5).resolved_min_facts() == 5
-        assert RunConfig(parallel_min_facts=5).resolved_min_facts(9) == 9
-
-    def test_certain_answers_accepts_config(self, qa_open, poll_db):
-        options = ExecutionOptions(method="parallel", jobs=1,
-                                   parallel_min_facts=0)
-        got = certain_answers(qa_open, poll_db, options)
-        assert got == certain_answers(qa_open, poll_db, "compiled")
-
-    def test_from_env_reads_sql_knobs(self):
-        env = {"REPRO_SQL_MIN_FACTS": "17", "REPRO_SQL_STMT_CACHE": "0"}
-        config = RunConfig.from_env(env)
-        assert config.sql_min_facts == 17
-        assert config.sql_stmt_cache == 0
-        assert config.resolved_sql_min_facts() == 17
-        assert config.resolved_sql_stmt_cache() == 0
-
-    @pytest.mark.parametrize("bad", ["-5", "0x10", "  ", "", "many", "4.5"])
-    def test_bad_sql_knobs_fall_back_to_defaults(self, bad):
-        from repro.obs.config import (
-            DEFAULT_SQL_MIN_FACTS,
-            DEFAULT_SQL_STMT_CACHE,
-        )
-
-        env = {"REPRO_SQL_MIN_FACTS": bad, "REPRO_SQL_STMT_CACHE": bad}
-        config = RunConfig.from_env(env)
-        assert config.sql_min_facts is None
-        assert config.sql_stmt_cache is None
-        assert config.resolved_sql_min_facts() == DEFAULT_SQL_MIN_FACTS
-        assert config.resolved_sql_stmt_cache() == DEFAULT_SQL_STMT_CACHE
-
-    def test_sql_knob_defaults_without_env(self):
-        from repro.obs.config import (
-            DEFAULT_SQL_MIN_FACTS,
-            DEFAULT_SQL_STMT_CACHE,
-        )
-
-        config = RunConfig.from_env({})
-        assert config.resolved_sql_min_facts() == DEFAULT_SQL_MIN_FACTS
-        assert config.resolved_sql_stmt_cache() == DEFAULT_SQL_STMT_CACHE
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 The same frozen dataclass travels two ways — positionally into
 ``certain``/``certain_answers`` and as the JSON body of a ``repro serve``
-request — so these tests pin its validation, coercion, wire round-trip,
-and that it is the engine's only way in: the old ``method=``/``jobs=``/
-``config=`` keywords are gone.
+request — so these tests pin its four fields, validation, coercion,
+wire round-trip, the ``REPRO_TRACE_FILE`` env fallback, and that it is
+the engine's only way in: the old ``method=``/``jobs=``/``config=``
+keywords are gone.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import pytest
@@ -17,10 +19,14 @@ from repro.core.parser import parse_query
 from repro.cqa.engine import CertaintyEngine
 from repro.db.database import Database
 from repro.core.atoms import RelationSchema
-from repro.obs import ExecutionOptions, OptionsError, RunConfig
+from repro.obs import ExecutionOptions, OptionsError, Tracer
 
 
 class TestConstruction:
+    def test_exactly_four_fields(self):
+        names = [f.name for f in dataclasses.fields(ExecutionOptions)]
+        assert names == ["method", "jobs", "trace", "trace_file"]
+
     def test_defaults(self):
         opts = ExecutionOptions()
         assert opts.method == "auto"
@@ -49,12 +55,7 @@ class TestConstruction:
         with pytest.raises(OptionsError):
             ExecutionOptions(method="parallel", jobs=0)
         with pytest.raises(OptionsError):
-            ExecutionOptions(shard_factor=-1)
-
-    def test_nonnegative_fields_validated(self):
-        assert ExecutionOptions(sql_min_facts=0).sql_min_facts == 0
-        with pytest.raises(OptionsError):
-            ExecutionOptions(parallel_min_facts=-5)
+            ExecutionOptions(jobs=-1)
 
     def test_bool_is_not_an_int(self):
         with pytest.raises(OptionsError):
@@ -80,6 +81,16 @@ class TestCoercion:
         with pytest.raises(OptionsError, match="unknown option field"):
             ExecutionOptions.from_dict({"method": "sql", "workers": 4})
 
+    @pytest.mark.parametrize("knob", [
+        "max_workers", "parallel_min_facts", "shard_factor",
+        "sql_min_facts", "sql_stmt_cache", "columnar_min_facts",
+    ])
+    def test_routing_knobs_are_unknown_keys(self, knob):
+        # The routing gates are module constants; the wire form has
+        # no field for them.
+        with pytest.raises(OptionsError, match="unknown option field"):
+            ExecutionOptions.from_dict({"method": "auto", knob: 1})
+
     def test_other_types_rejected(self):
         with pytest.raises((TypeError, OptionsError)):
             ExecutionOptions.coerce(42)  # type: ignore[arg-type]
@@ -90,26 +101,39 @@ class TestWireRoundTrip:
         assert ExecutionOptions().to_dict() == {"method": "auto"}
 
     def test_round_trip_preserves_everything(self):
-        opts = ExecutionOptions(method="parallel", jobs=4, shard_factor=2,
-                                sql_min_facts=10, columnar_min_facts=7)
+        opts = ExecutionOptions(method="parallel", jobs=4, trace=True,
+                                trace_file="spans.jsonl")
         assert ExecutionOptions.from_dict(opts.to_dict()) == opts
 
     def test_replace(self):
         opts = ExecutionOptions(method="auto").replace(method="sql")
         assert opts.method == "sql"
 
-    def test_from_env_reads_gates(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "123")
-        opts = ExecutionOptions.from_env(method="sql")
-        assert opts.sql_min_facts == 123
-        assert opts.method == "sql"
 
-    def test_run_config_lift(self):
-        opts = ExecutionOptions(method="parallel", jobs=3, shard_factor=2)
-        config = opts.run_config()
-        assert isinstance(config, RunConfig)
-        assert config.jobs == 3
-        assert config.shard_factor == 2
+class TestFromEnv:
+    """``from_env`` is the one reader of ``REPRO_TRACE_FILE``."""
+
+    def test_reads_trace_file(self):
+        opts = ExecutionOptions.from_env({"REPRO_TRACE_FILE": "/tmp/t.jsonl"},
+                                         method="sql")
+        assert opts.trace_file == "/tmp/t.jsonl"
+        assert opts.method == "sql"
+        assert opts.tracing is True  # a trace file implies tracing
+
+    def test_defaults_without_env(self):
+        opts = ExecutionOptions.from_env({"REPRO_TRACE_FILE": "  "})
+        assert opts == ExecutionOptions()
+        assert opts.tracing is False
+        assert opts.make_tracer() is None
+
+    def test_overrides_beat_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_FILE", "env.jsonl")
+        assert ExecutionOptions.from_env(trace_file="cli.jsonl").trace_file \
+            == "cli.jsonl"
+        # A None override keeps the env-derived value.
+        opts = ExecutionOptions.from_env(trace_file=None, trace=True)
+        assert opts.trace_file == "env.jsonl"
+        assert isinstance(opts.make_tracer(), Tracer)
 
 
 class TestLegacyShims:

@@ -28,7 +28,6 @@ from repro.parallel import (
     shard_spec,
     shutdown_pools,
 )
-from repro.parallel.executor import resolve_jobs
 from repro.parallel.pool import fork_context
 from repro.workloads.poll import (
     adversarial_poll_database,
@@ -212,15 +211,19 @@ class TestFallbacks:
 
 
 class TestResolveJobs:
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
-        assert resolve_jobs(8) == 2
-        assert resolve_jobs(1) == 1
-
-    def test_default_is_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
+    def test_default_is_cpu_count(self, rng):
         import os
-        assert resolve_jobs(None) == max(1, os.cpu_count() or 1)
+
+        db = random_poll_database(8, 3, rng=rng)
+        reset_parallel_stats()
+        got = parallel_certain_answers(qa_open(), db, jobs=None, min_facts=0)
+        assert got == certain_answers(qa_open(), db, "compiled")
+        stats = parallel_stats()
+        cpus = os.cpu_count() or 1
+        if cpus == 1 or fork_context() is None:
+            assert stats["serial_fallbacks"] == 1
+        else:
+            assert stats["workers"] == cpus
 
 
 @needs_fork

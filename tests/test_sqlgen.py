@@ -26,19 +26,20 @@ from repro.fo.plan import (
     Join,
     Literal,
     Plan,
+    PlanError,
     Project,
     Scan,
     Select,
     SemiJoin,
     Union,
     execute_plan,
+    plan_nodes,
 )
 from repro.storage import (
     PersistentDatabase,
     compile_plan,
     native_sql_answers,
     sql_mirror,
-    supports_plan,
 )
 
 w = Variable("w")
@@ -172,9 +173,16 @@ class TestCompileShape:
         final_cte = lossless.sql.split("AS (")[-1]
         assert "DISTINCT" not in final_cte  # permutations stay bags
 
-    def test_supports_plan_battery_and_rejects_unknown(self):
+    def test_every_node_type_compiles_and_unknown_raises(self):
+        # All twelve plan node types translate, so method="sql" needs
+        # no fallback path; an unknown node type is a loud error.
+        schemas = {"R": RelationSchema("R", 2, 1),
+                   "S": RelationSchema("S", 2, 1)}
+        kinds = {type(node) for make in PLANS.values()
+                 for node in plan_nodes(make())}
+        assert len(kinds) == 12
         for make in PLANS.values():
-            assert supports_plan(make())
+            compile_plan(make(), schemas)
 
         class OpaquePlan(Plan):
             __slots__ = ()
@@ -182,9 +190,8 @@ class TestCompileShape:
             def __init__(self):
                 super().__init__((x,))
 
-        assert not supports_plan(OpaquePlan())
-        assert not supports_plan(Join(Scan(atom_of("R(x | y)")),
-                                      OpaquePlan()))
+        with pytest.raises(PlanError, match="no SQL translation"):
+            compile_plan(Join(scan_r(), OpaquePlan()), schemas)
 
 
 class TestStatementCache:

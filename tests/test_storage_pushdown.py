@@ -1,12 +1,13 @@
 """SQL pushdown: the integer-encoded mirror and the routing gate.
 
-The mirror must stay delta-consistent with its store (one transaction
-per changelog batch, clock + dictionary + active-domain refcounts
-recorded alongside), rebuild exactly when its recorded clock, format,
-or persisted dictionary diverges, and the ``prefer_sql`` gate must
-route to it only for mirror-backed databases above the size threshold
-whose compiled plan the native SQL compiler can translate — which,
-since the ``repro_adom`` table, includes every ``Adom*``-bearing plan.
+The mirror must stay delta-consistent with its database (one
+transaction per changelog batch, clock + dictionary + active-domain
+refcounts recorded alongside), rebuild exactly when its recorded clock,
+format, or persisted dictionary diverges, and the ``prefer_sql`` gate
+must route to it only for persistent stores above the size threshold —
+``Adom*``-bearing plans included, served by the ``repro_adom`` table.
+A plain in-memory database gets a private ``:memory:`` mirror when
+``method="sql"`` asks for one.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.fo.plan import (
     AdomProduct,
     Join,
     Plan,
+    PlanError,
     Project,
     Scan,
     execute_plan,
@@ -38,13 +40,12 @@ from repro.storage import (
     PersistentDatabase,
     mirror_capable,
     native_sql_answers,
-    native_sql_holds,
     prefer_sql,
     reset_storage_stats,
     sql_mirror,
     storage_stats,
-    supports_plan,
 )
+from repro.storage import pushdown
 
 QUERY = "R(x | y), not S(y | x)"
 
@@ -95,15 +96,6 @@ def fake_compiled(plan, constants=(), free=None):
     return types.SimpleNamespace(
         plan=plan, constants=tuple(constants),
         free=tuple(plan.cols if free is None else free))
-
-
-class _OpaquePlan(Plan):
-    """A plan node type the SQL compiler has never heard of."""
-
-    __slots__ = ()
-
-    def __init__(self):
-        super().__init__((x,))
 
 
 class TestMirror:
@@ -241,7 +233,8 @@ class TestRouting:
         engine = CertaintyEngine(poll_qa())
         return plan_cache.get_or_compile(engine.rewriting, db)
 
-    def test_plain_database_never_routed(self):
+    def test_plain_database_never_routed(self, monkeypatch):
+        monkeypatch.setattr(pushdown, "SQL_MIN_FACTS", 0)
         db = Database()
         for schema in POLL_SCHEMAS:
             db.add_relation(schema)
@@ -249,61 +242,57 @@ class TestRouting:
         compiled = self.compiled(db)
         assert not mirror_capable(db)
         assert not prefer_sql(compiled, db)
-        assert native_sql_holds(compiled, db) is None
-        # method="sql" still works, via the legacy load-per-call path.
+        assert storage_stats()["pushdown"]["routed_sql"] == 0
+        # method="sql" still works, through a private in-memory mirror.
         engine = CertaintyEngine(poll_qa())
         assert engine.certain(db, "sql") == engine.certain(db, "compiled")
-        assert storage_stats()["pushdown"]["legacy_sql"] == 1
-        assert storage_stats()["pushdown"]["routed_sql"] == 0
+        assert storage_stats()["pushdown"]["native_sql"] == 1
+        assert str(sql_mirror(db).path) == ":memory:"
 
-    def test_small_store_falls_back(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_SQL_MIN_FACTS", raising=False)
+    def test_small_store_falls_back(self, tmp_path):
         db = make_poll_store(tmp_path / "store")
         db.add("Lives", ("p", "t"))
         assert not prefer_sql(self.compiled(db), db)
         assert storage_stats()["pushdown"]["fallback_small"] == 1
         db.close()
 
-    def test_threshold_env_routes(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "2")
+    def test_threshold_routes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pushdown, "SQL_MIN_FACTS", 2)
         db = make_poll_store(tmp_path / "store")
-        db.add_all("Lives", [("p", "t"), ("q", "u")])
+        db.add("Lives", ("p", "t"))
+        assert not prefer_sql(self.compiled(db), db)
+        db.add("Lives", ("q", "u"))
         assert prefer_sql(self.compiled(db), db)
         db.close()
 
-    def test_bad_threshold_env_uses_default(self, tmp_path, monkeypatch):
-        # Negatives, hex, whitespace junk: ignored, default 4096 holds,
-        # so a 2-fact store falls back small instead of crashing.
-        for bad in ("-5", "0x10", "  ", "many"):
-            monkeypatch.setenv("REPRO_SQL_MIN_FACTS", bad)
-            db = make_poll_store(tmp_path / f"store-{hash(bad) % 997}")
-            db.add_all("Lives", [("p", "t"), ("q", "u")])
-            assert not prefer_sql(self.compiled(db), db)
-            db.close()
-
     def test_adom_plans_route(self, tmp_path, monkeypatch):
-        # The flip of the old gate: Adom*-bearing plans are served by
-        # the maintained repro_adom table instead of forcing the
-        # in-memory executors.
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "0")
+        # Adom*-bearing plans are served by the maintained repro_adom
+        # table instead of forcing the in-memory executors.
+        monkeypatch.setattr(pushdown, "SQL_MIN_FACTS", 0)
         db = make_store(tmp_path / "store")
         db.add("R", ("a", "1"))
         compiled = fake_compiled(Project(AdomProduct((x,)), (x,)))
-        assert supports_plan(compiled.plan)
         assert prefer_sql(compiled, db)
-        assert storage_stats()["pushdown"]["fallback_unsupported"] == 0
+        assert native_sql_answers(compiled, db) == {("a",), ("1",)}
         db.close()
 
-    def test_unsupported_plan_falls_back(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "0")
+    def test_unknown_plan_raises(self, tmp_path, monkeypatch):
+        # No plan-support gate and no fallback: an unknown node type
+        # reaches the compiler and fails loudly, counting no native run.
+        monkeypatch.setattr(pushdown, "SQL_MIN_FACTS", 0)
         db = make_store(tmp_path / "store")
         db.add("R", ("a", "1"))
-        compiled = fake_compiled(_OpaquePlan())
-        assert not supports_plan(compiled.plan)
-        assert not prefer_sql(compiled, db)
-        assert storage_stats()["pushdown"]["fallback_unsupported"] == 1
-        # The native entry points refuse it too (callers fall back).
-        assert native_sql_answers(compiled, db) is None
+
+        class OpaquePlan(Plan):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__((x,))
+
+        compiled = fake_compiled(OpaquePlan())
+        assert prefer_sql(compiled, db)
+        with pytest.raises(PlanError, match="no SQL translation"):
+            native_sql_answers(compiled, db)
         assert storage_stats()["pushdown"]["native_sql"] == 0
         db.close()
 
@@ -324,17 +313,15 @@ class TestStatementCache:
         assert stats["stmt_cache_misses"] == misses
         db.close()
 
-    def test_cache_disabled_by_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_STMT_CACHE", "0")
+    def test_cache_is_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pushdown, "SQL_STMT_CACHE_SIZE", 1)
         db = make_store(tmp_path / "store")
         db.add_all("R", [("a", "1")])
-        oq = OpenQuery(parse_query(QUERY), [Variable("x")])
-        certain_answers(oq, db, "sql")
-        certain_answers(oq, db, "sql")
-        stats = storage_stats()["pushdown"]
-        assert stats["stmt_cache_hits"] == 0
-        assert stats["stmt_cache_misses"] == 0
-        assert sql_mirror(db).stats()["stmt_cache"]["capacity"] == 0
+        for free in ([Variable("x")], [Variable("y")], [Variable("x")]):
+            certain_answers(OpenQuery(parse_query(QUERY), free), db, "sql")
+        stats = sql_mirror(db).stats()["stmt_cache"]
+        assert (stats["entries"], stats["capacity"]) == (1, 1)
+        assert stats["misses"] == 3  # x was evicted by y
         db.close()
 
 
@@ -391,11 +378,11 @@ class TestEndToEnd:
         oq = OpenQuery(parse_query(QUERY), [Variable("x")])
         assert (certain_answers(oq, db, "sql")
                 == certain_answers(oq, db, "compiled"))
-        # The sql run ran natively inside the mirror, not a fresh load.
+        # The sql run ran natively inside the store's file mirror.
         stats = storage_stats()["pushdown"]
         assert stats["routed_sql"] >= 1
         assert stats["native_sql"] >= 1
-        assert stats["legacy_sql"] == 0
+        assert sql_mirror(db).path.name == "mirror.sqlite"
         db.close()
 
     def seed_poll(self, db):
@@ -413,7 +400,7 @@ class TestEndToEnd:
         db.close()
 
     def test_auto_routes_to_sql_above_threshold(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_MIN_FACTS", "2")
+        monkeypatch.setattr(pushdown, "SQL_MIN_FACTS", 2)
         db = make_poll_store(tmp_path / "store")
         self.seed_poll(db)
         engine = CertaintyEngine(poll_qa())
@@ -431,3 +418,53 @@ class TestEndToEnd:
         assert (certain_answers(oq, db, "sql")
                 == certain_answers(oq, db, "compiled"))
         db.close()
+
+    def test_in_memory_mirror_tracks_updates(self):
+        db = Database([RelationSchema("R", 2, 1), RelationSchema("S", 2, 1)])
+        self.seed(db)
+        oq = OpenQuery(parse_query(QUERY), [Variable("x")])
+        assert (certain_answers(oq, db, "sql")
+                == certain_answers(oq, db, "compiled"))
+        mirror = sql_mirror(db)
+        with db.batch():
+            db.add("S", ("2", "a"))
+            db.discard("S", ("1", "b"))
+        db.add("R", ("e", "5"))
+        assert sql_mirror(db) is mirror  # attached once, kept in step
+        assert mirror.clock == db.clock
+        assert (certain_answers(oq, db, "sql")
+                == certain_answers(oq, db, "compiled"))
+        assert mirror_rows(mirror, "S") == db.facts("S")
+
+    def test_concurrent_first_calls_attach_one_mirror(self):
+        # Server threads race on a database's first sql call; exactly
+        # one mirror may subscribe to its changelog.
+        import sys
+        import threading
+
+        n = 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                db = Database([RelationSchema("R", 2, 1),
+                               RelationSchema("S", 2, 1)])
+                self.seed(db)
+                barrier = threading.Barrier(n, timeout=10)
+                got = []
+
+                def attach():
+                    barrier.wait()
+                    got.append(sql_mirror(db))
+
+                threads = [threading.Thread(target=attach) for _ in range(n)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert len(got) == n and len({id(m) for m in got}) == 1
+                assert sum(1 for listener in db._listeners
+                           if getattr(listener, "__self__", None) in got) == 1
+        finally:
+            sys.setswitchinterval(interval)
