@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .attack_graph import AttackGraph, attack_witness
+from .attack_graph import attack_graph, attack_witness
 from .classify import Classification, classify
 from .fds import oplus
 from .query import Query
@@ -94,7 +94,7 @@ class QueryAnalysis:
 
 def analyze(query: Query, include_rewriting: bool = True) -> QueryAnalysis:
     """Compute the full structural report for *query*."""
-    graph = AttackGraph(query)
+    graph = attack_graph(query)
     atoms: List[AtomAnalysis] = []
     for a in query.atoms:
         attacked = graph.attacked_vars(a)

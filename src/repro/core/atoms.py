@@ -10,13 +10,20 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence, Tuple
 
-from .terms import Constant, Term, Variable, is_variable, variables_of
+from .terms import (
+    Constant,
+    Term,
+    Variable,
+    _state_without_hash,
+    is_variable,
+    variables_of,
+)
 
 
 class RelationSchema:
     """A relation name with signature ``[arity, key_size]``."""
 
-    __slots__ = ("name", "arity", "key_size")
+    __slots__ = ("name", "arity", "key_size", "_hash")
 
     def __init__(self, name: str, arity: int, key_size: int):
         if not isinstance(name, str) or not name:
@@ -47,7 +54,7 @@ class RelationSchema:
         return f"RelationSchema({self.name!r}, {self.arity}, {self.key_size})"
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, RelationSchema)
             and self.name == other.name
             and self.arity == other.arity
@@ -55,7 +62,13 @@ class RelationSchema:
         )
 
     def __hash__(self) -> int:
-        return hash((self.name, self.arity, self.key_size))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.name, self.arity, self.key_size))
+            return self._hash
+
+    __getstate__ = _state_without_hash
 
 
 class Atom:
@@ -66,7 +79,7 @@ class Atom:
     *fact*.
     """
 
-    __slots__ = ("schema", "terms")
+    __slots__ = ("schema", "terms", "_hash")
 
     def __init__(self, schema: RelationSchema, terms: Sequence[Term]):
         terms = tuple(terms)
@@ -144,14 +157,20 @@ class Atom:
         return f"{self.relation}({key}|{rest})" if rest else f"{self.relation}({key})"
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Atom)
             and self.schema == other.schema
             and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.schema, self.terms))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.schema, self.terms))
+            return self._hash
+
+    __getstate__ = _state_without_hash
 
 
 def atom(name: str, key: Iterable[Term], values: Iterable[Term] = ()) -> Atom:

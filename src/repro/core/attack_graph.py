@@ -10,6 +10,17 @@ Attacks between atoms: F attacks G (``F ⇝ G``) when F attacks some
 variable of key(G).  The attack graph has vertex set q⁺ ∪ q⁻ and an edge
 for every attack between distinct atoms.
 
+One graph per query.  :class:`AttackGraph` does the whole analysis in
+one pass: one co-occurrence adjacency and one list of dependencies
+K(q⁺) per query, key(F) and vars(F) read once per atom, F^{+,q} as the
+closure of key(F) under the other positive atoms' dependencies, and one
+breadth-first search per atom.  :func:`attack_graph` shares the graph
+of a query among everything that asks about it: the classifier of
+Theorem 4.3, Algorithm 1's pick of an unattacked atom, the lint rules,
+and the single-atom helpers :func:`attacked_variables`,
+:func:`attacked_from` and :func:`attack_witness`, which read its
+adjacency and closures instead of rebuilding them.
+
 Disequality constraints behave like negated fresh *all-key* atoms
 (Lemma 6.6); all-key atoms have no outgoing attacks, so disequalities can
 never contribute an edge, let alone a cycle, and are ignored here.
@@ -18,12 +29,23 @@ never contribute an edge, let alone a cycle, and are ignored here.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .atoms import Atom
-from .fds import oplus
+from .fds import FD, closure
 from .query import Query
 from .terms import Variable
+
+
+def _cooccurrence(
+    query: Query, positive_vars: Iterable[FrozenSet[Variable]]
+) -> Dict[Variable, Set[Variable]]:
+    adj: Dict[Variable, Set[Variable]] = {v: set() for v in query.vars}
+    for vs in positive_vars:
+        for x in vs:
+            adj[x] |= vs
+    return adj
 
 
 def cooccurrence_graph(query: Query) -> Dict[Variable, frozenset]:
@@ -32,33 +54,38 @@ def cooccurrence_graph(query: Query) -> Dict[Variable, frozenset]:
     Every variable is adjacent to itself (witnesses of length zero are
     allowed by the definition).
     """
-    adj: Dict[Variable, set] = {v: set() for v in query.vars}
-    for p in query.positives:
-        vs = p.vars
-        for x in vs:
-            adj.setdefault(x, set()).update(vs)
+    adj = _cooccurrence(query, (p.vars for p in query.positives))
     return {v: frozenset(neighbours) for v, neighbours in adj.items()}
 
 
+def _reach(
+    adj: Mapping[Variable, Iterable[Variable]],
+    start: Iterable[Variable],
+    forbidden: FrozenSet[Variable],
+) -> Dict[Variable, Optional[Variable]]:
+    """Breadth-first search over co-occurrence from *start* (which must
+    avoid *forbidden*), never entering *forbidden*: every variable
+    reached, mapped to the variable it was first reached from (``None``
+    for a start variable)."""
+    parents: Dict[Variable, Optional[Variable]] = dict.fromkeys(start)
+    frontier = deque(parents)
+    while frontier:
+        u = frontier.popleft()
+        for w in adj.get(u, ()):
+            if w not in parents and w not in forbidden:
+                parents[w] = u
+                frontier.append(w)
+    return parents
+
+
 def attacked_variables(query: Query, atom_obj: Atom) -> FrozenSet[Variable]:
-    """All w with F ⇝ w, computed by BFS from vars(F) \\ F^{+,q}.
+    """All w with F ⇝ w: the attacked set of F in the query's graph.
 
     A witness must avoid F^{+,q} entirely (including its first element),
     so the search starts only from the atom's own variables outside the
     closure and never enters it.
     """
-    forbidden = oplus(query, atom_obj)
-    start = [u for u in atom_obj.vars if u not in forbidden]
-    adj = cooccurrence_graph(query)
-    seen = set(start)
-    frontier = deque(start)
-    while frontier:
-        u = frontier.popleft()
-        for w in adj.get(u, ()):
-            if w not in seen and w not in forbidden:
-                seen.add(w)
-                frontier.append(w)
-    return frozenset(seen)
+    return attack_graph(query).attacked_vars(atom_obj)
 
 
 def attacked_from(
@@ -71,19 +98,11 @@ def attacked_from(
     """
     if source not in atom_obj.vars:
         raise ValueError(f"{source} does not occur in {atom_obj!r}")
-    forbidden = oplus(query, atom_obj)
+    graph = attack_graph(query)
+    forbidden = graph._closure[atom_obj]
     if source in forbidden:
         return frozenset()
-    adj = cooccurrence_graph(query)
-    seen = {source}
-    frontier = deque([source])
-    while frontier:
-        u = frontier.popleft()
-        for w in adj.get(u, ()):
-            if w not in seen and w not in forbidden:
-                seen.add(w)
-                frontier.append(w)
-    return frozenset(seen)
+    return frozenset(_reach(graph._adj, (source,), forbidden))
 
 
 def attack_witness(
@@ -93,30 +112,20 @@ def attack_witness(
 
     The returned sequence (u_0, ..., u_l) satisfies the three conditions
     of Section 4.1 and is produced by shortest-path BFS, so it is a
-    minimum-length witness.
+    minimum-length witness; the search visits variables in name order,
+    so the witness does not depend on set iteration order.
     """
-    forbidden = oplus(query, atom_obj)
-    if target in forbidden:
+    graph = attack_graph(query)
+    forbidden = graph._closure[atom_obj]
+    ordered = {v: sorted(neighbours) for v, neighbours in graph._adj.items()}
+    start = sorted(u for u in atom_obj.vars if u not in forbidden)
+    parents = _reach(ordered, start, forbidden)
+    if target not in parents:
         return None
-    adj = cooccurrence_graph(query)
-    parents: Dict[Variable, Optional[Variable]] = {}
-    frontier = deque()
-    for u in sorted(atom_obj.vars):
-        if u not in forbidden:
-            parents[u] = None
-            frontier.append(u)
-    while frontier:
-        u = frontier.popleft()
-        if u == target:
-            path = [u]
-            while parents[path[-1]] is not None:
-                path.append(parents[path[-1]])
-            return tuple(reversed(path))
-        for w in sorted(adj.get(u, ())):
-            if w not in parents and w not in forbidden:
-                parents[w] = u
-                frontier.append(w)
-    return None
+    path = [target]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    return tuple(reversed(path))
 
 
 def attacks_variable(query: Query, atom_obj: Atom, var: Variable) -> bool:
@@ -141,16 +150,37 @@ class AttackGraph:
 
     def __init__(self, query: Query):
         self.query = query
-        self._attacked: Dict[Atom, FrozenSet[Variable]] = {
-            a: attacked_variables(query, a) for a in query.atoms
-        }
-        self.edges: List[Tuple[Atom, Atom]] = []
-        self._succ: Dict[Atom, List[Atom]] = {a: [] for a in query.atoms}
-        for f in query.atoms:
-            for g in query.atoms:
-                if f != g and self._attacked[f] & g.key_vars:
-                    self.edges.append((f, g))
-                    self._succ[f].append(g)
+        atoms = query.atoms
+        n_positive = len(query.positives)
+        key_vars = [a.key_vars for a in atoms]
+        all_vars = [a.vars for a in atoms]
+        self._adj = _cooccurrence(query, all_vars[:n_positive])
+        fds = [FD(key_vars[i], all_vars[i]) for i in range(n_positive)]
+        closures: List[FrozenSet[Variable]] = []
+        attacked: List[FrozenSet[Variable]] = []
+        for i in range(len(atoms)):
+            # F^{+,q}: key(F) closed under K(q⁺ \ {F}).
+            others = fds[:i] + fds[i + 1:] if i < n_positive else fds
+            forbidden = closure(key_vars[i], others)
+            start = [u for u in all_vars[i] if u not in forbidden]
+            closures.append(forbidden)
+            attacked.append(frozenset(_reach(self._adj, start, forbidden)))
+        self._closure: Dict[Atom, FrozenSet[Variable]] = dict(zip(atoms, closures))
+        self._attacked: Dict[Atom, FrozenSet[Variable]] = dict(zip(atoms, attacked))
+        self.edges: Tuple[Tuple[Atom, Atom], ...] = tuple(
+            (f, g)
+            for i, f in enumerate(atoms)
+            for j, g in enumerate(atoms)
+            if i != j and not attacked[i].isdisjoint(key_vars[j])
+        )
+        self._edge_set = frozenset(self.edges)
+        succ: Dict[Atom, List[Atom]] = {a: [] for a in atoms}
+        pred: Dict[Atom, List[Atom]] = {a: [] for a in atoms}
+        for f, g in self.edges:
+            succ[f].append(g)
+            pred[g].append(f)
+        self._succ = {a: tuple(bs) for a, bs in succ.items()}
+        self._pred = {a: tuple(fs) for a, fs in pred.items()}
 
     @property
     def atoms(self) -> Tuple[Atom, ...]:
@@ -163,15 +193,15 @@ class AttackGraph:
 
     def successors(self, atom_obj: Atom) -> Tuple[Atom, ...]:
         """Atoms attacked by *atom_obj*."""
-        return tuple(self._succ[atom_obj])
+        return self._succ[atom_obj]
 
     def predecessors(self, atom_obj: Atom) -> Tuple[Atom, ...]:
         """Atoms attacking *atom_obj*."""
-        return tuple(f for f, g in self.edges if g == atom_obj)
+        return self._pred[atom_obj]
 
     def has_edge(self, f: Atom, g: Atom) -> bool:
         """Is there an attack F ⇝ G?"""
-        return (f, g) in set(self.edges)
+        return (f, g) in self._edge_set
 
     @property
     def is_acyclic(self) -> bool:
@@ -217,16 +247,14 @@ class AttackGraph:
         graph always contains a cycle of length two; the classifier
         relies on this to pick the right hardness lemma.
         """
-        edge_set = set(self.edges)
         for f, g in self.edges:
-            if (g, f) in edge_set:
+            if (g, f) in self._edge_set:
                 return (f, g)
         return None
 
     def unattacked_atoms(self) -> Tuple[Atom, ...]:
         """Atoms with no incoming attack edge."""
-        attacked = {g for _, g in self.edges}
-        return tuple(a for a in self.query.atoms if a not in attacked)
+        return tuple(a for a in self.query.atoms if not self._pred[a])
 
     def unattacked_variables(self) -> FrozenSet[Variable]:
         """Variables attacked by no atom (exactly the reifiable ones
@@ -244,9 +272,7 @@ class AttackGraph:
         """
         if not self.is_acyclic:
             raise ValueError("the attack graph is cyclic")
-        indegree = {a: 0 for a in self.query.atoms}
-        for _, g in self.edges:
-            indegree[g] += 1
+        indegree = {a: len(self._pred[a]) for a in self.query.atoms}
         ready = [a for a in self.query.atoms if indegree[a] == 0]
         order: List[Atom] = []
         while ready:
@@ -273,3 +299,15 @@ class AttackGraph:
     def __repr__(self) -> str:
         es = ", ".join(f"{f!r}->{g!r}" for f, g in self.edges)
         return f"AttackGraph(edges=[{es}])"
+
+
+@lru_cache(maxsize=64)
+def attack_graph(query: Query) -> AttackGraph:
+    """The attack graph of *query*, built once and shared.
+
+    Classification, Algorithm 1's pick of an unattacked atom and the
+    lint rules all ask about the same query within one operation, so
+    the reuse is short-range and a small LRU holds it.  The graph is
+    never mutated after construction.
+    """
+    return AttackGraph(query)

@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .attack_graph import AttackGraph
+from .attack_graph import AttackGraph, attack_graph
 from .atoms import Atom
 from .query import Query
 
@@ -83,8 +83,12 @@ def _negated_count(query: Query, pair: Tuple[Atom, Atom]) -> int:
 
 
 def classify(query: Query, graph: Optional[AttackGraph] = None) -> Classification:
-    """Decide membership of CERTAINTY(q) in FO per Theorem 4.3."""
-    graph = graph or AttackGraph(query)
+    """Decide membership of CERTAINTY(q) in FO per Theorem 4.3.
+
+    Reads the query's shared :func:`~repro.core.attack_graph.attack_graph`
+    unless a *graph* is given.
+    """
+    graph = graph or attack_graph(query)
     wg = query.has_weakly_guarded_negation
     guarded = query.has_guarded_negation
     cycle = graph.find_cycle()

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Tuple
 
 from .atoms import Atom
-from .terms import Term, Variable, is_variable, variables_of
+from .terms import Term, Variable, _state_without_hash, is_variable, variables_of
 
 
 class QueryError(ValueError):
@@ -92,7 +92,7 @@ class Query:
         the disequality constraints (empty for plain sjfBCQ¬).
     """
 
-    __slots__ = ("positives", "negatives", "diseqs", "_vars")
+    __slots__ = ("positives", "negatives", "diseqs", "_vars", "_hash")
 
     def __init__(
         self,
@@ -270,7 +270,7 @@ class Query:
         return "{" + ", ".join(parts) + "}"
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Query)
             and self.positives == other.positives
             and self.negatives == other.negatives
@@ -278,4 +278,10 @@ class Query:
         )
 
     def __hash__(self) -> int:
-        return hash((self.positives, self.negatives, self.diseqs))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.positives, self.negatives, self.diseqs))
+            return self._hash
+
+    __getstate__ = _state_without_hash

@@ -19,13 +19,24 @@ Two special kinds of constants support the machinery of Section 6:
 from __future__ import annotations
 
 import itertools
-from typing import Hashable, Union
+from typing import Any, Dict, Hashable, Tuple, Union
+
+
+def _state_without_hash(obj: Any) -> Tuple[None, Dict[str, Any]]:
+    """Pickle and deepcopy state of an immutable core object, minus its
+    cached ``_hash``.
+
+    A string hashes differently in every interpreter, so a copy
+    recomputes its hash on first use instead of trusting a stored one.
+    """
+    slots = (s for cls in type(obj).__mro__ for s in vars(cls).get("__slots__", ()))
+    return None, {s: getattr(obj, s) for s in slots if s != "_hash"}
 
 
 class Variable:
     """A query variable, identified by its name."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
 
     def __init__(self, name: str):
         if not isinstance(name, str) or not name:
@@ -39,10 +50,22 @@ class Variable:
         return self.name
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Variable) and self.name == other.name
+        return self is other or (
+            isinstance(other, Variable) and self.name == other.name
+        )
 
     def __hash__(self) -> int:
-        return hash(("Variable", self.name))
+        # Terms, schemas, atoms and queries are immutable and hashed by
+        # every set operation and cache lookup of the query analysis, so
+        # each caches its hash on first use, like the formula nodes of
+        # repro.fo.formula.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(("Variable", self.name))
+            return self._hash
+
+    __getstate__ = _state_without_hash
 
     def __lt__(self, other: "Variable") -> bool:
         if not isinstance(other, Variable):
@@ -53,7 +76,7 @@ class Variable:
 class Constant:
     """A constant, wrapping an arbitrary hashable value."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_hash")
 
     def __init__(self, value: Hashable):
         hash(value)  # fail fast on unhashable values
@@ -66,7 +89,7 @@ class Constant:
         return str(self.value)
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Constant)
             and not isinstance(other, PlaceholderConstant)
             and not isinstance(self, PlaceholderConstant)
@@ -74,7 +97,13 @@ class Constant:
         )
 
     def __hash__(self) -> int:
-        return hash(("Constant", self.value))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(("Constant", self.value))
+            return self._hash
+
+    __getstate__ = _state_without_hash
 
 
 class PlaceholderConstant(Constant):
@@ -106,10 +135,16 @@ class PlaceholderConstant(Constant):
         return f"&{self.variable.name}#{self.serial}"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PlaceholderConstant) and self.serial == other.serial
+        return self is other or (
+            isinstance(other, PlaceholderConstant) and self.serial == other.serial
+        )
 
     def __hash__(self) -> int:
-        return hash(("PlaceholderConstant", self.serial))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(("PlaceholderConstant", self.serial))
+            return self._hash
 
 
 Term = Union[Variable, Constant]

@@ -106,6 +106,12 @@ class OpenQuery:
 
     def __init__(self, query: Query, free: Sequence[Variable]):
         free = tuple(free)
+        bad = [v for v in free if not isinstance(v, Variable)]
+        if bad:
+            raise QueryError(
+                f"free variables must be Variable objects, got "
+                f"{', '.join(map(repr, bad))}"
+            )
         if len(set(free)) != len(free):
             raise QueryError("free variables must be distinct")
         missing = [v for v in free if v not in query.vars]
@@ -129,8 +135,7 @@ class OpenQuery:
         free variables as constants changes the attack graph, and it is
         this grounded query that Theorem 4.3 speaks about.
         """
-        mapping = {v: PlaceholderConstant(v) for v in self.free}
-        return self.query.substitute(mapping)
+        return _grounding(self.query, self.free)[0]
 
     @property
     def classification(self) -> Classification:
@@ -148,6 +153,16 @@ class OpenQuery:
 
 
 @lru_cache(maxsize=512)
+def _grounding(
+    query: Query, free: Tuple[Variable, ...]
+) -> Tuple[Query, Tuple[PlaceholderConstant, ...]]:
+    # One grounding per (query, free), shared by the classification and
+    # the rewriting, so both find the same attack graph.
+    placeholders = tuple(PlaceholderConstant(v) for v in free)
+    return query.substitute(dict(zip(free, placeholders))), placeholders
+
+
+@lru_cache(maxsize=512)
 def _classify_open(
     query: Query, free: Tuple[Variable, ...]
 ) -> Classification:
@@ -160,10 +175,9 @@ def _classify_open(
 def _open_rewriting(
     query: Query, free: Tuple[Variable, ...], simplify: bool
 ) -> Formula:
-    mapping = {v: PlaceholderConstant(v) for v in free}
-    grounded = query.substitute(mapping)
+    grounded, placeholders = _grounding(query, free)
     formula = Rewriter(grounded).rewrite(simplify=simplify)
-    opened = substitute_terms(formula, {p: v for v, p in mapping.items()})
+    opened = substitute_terms(formula, dict(zip(placeholders, free)))
     return simplify_fixpoint(opened) if simplify else opened
 
 

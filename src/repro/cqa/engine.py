@@ -15,6 +15,7 @@ because certainty does not decompose over shards.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional
 
 from ..core.classify import Classification, Verdict
@@ -59,8 +60,16 @@ class CertaintyEngine:
         self.query = query
         self._boolean = OpenQuery(query, ())
         self.classification: Classification = self._boolean.classification
-        self.lint: LintResult = lint_query(query)
         self._rewriting: Optional[Formula] = None
+
+    @cached_property
+    def lint(self) -> LintResult:
+        """The query's lint report, computed on first access.
+
+        Answering never reads it: a query outside FO already fails with
+        its coded diagnostics (:func:`~repro.cqa.certain_answers.require_fo`).
+        """
+        return lint_query(self.query)
 
     @property
     def in_fo(self) -> bool:

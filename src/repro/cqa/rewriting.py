@@ -37,7 +37,7 @@ import itertools
 from typing import Dict, List, Optional, Tuple
 
 from ..core.atoms import Atom
-from ..core.attack_graph import AttackGraph
+from ..core.attack_graph import AttackGraph, attack_graph
 from ..core.classify import Verdict, classify
 from ..core.query import Diseq, Query
 from ..core.terms import PlaceholderConstant, Variable, is_variable
@@ -79,12 +79,13 @@ def pick_eliminable_atom(query: Query, graph: Optional[AttackGraph] = None) -> A
 
     Deterministic: the first such atom in query order (positives first).
     Raises :class:`RewritingError` when none exists, which cannot happen
-    for acyclic attack graphs with at least one non-all-key atom.
+    for acyclic attack graphs with at least one non-all-key atom.  Reads
+    the query's shared :func:`~repro.core.attack_graph.attack_graph`
+    unless a *graph* is given.
     """
-    graph = graph or AttackGraph(query)
-    attacked = {g for _, g in graph.edges}
+    graph = graph or attack_graph(query)
     for a in query.atoms:
-        if not a.is_all_key and a not in attacked:
+        if not a.is_all_key and not graph.predecessors(a):
             return a
     raise RewritingError(
         "no unattacked non-all-key atom; is the attack graph cyclic?"

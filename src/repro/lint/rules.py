@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..core.attack_graph import AttackGraph
+from ..core.attack_graph import attack_graph
 from ..core.classify import Verdict, classify
 from ..core.terms import Variable
 from .context import LintContext, LintLiteral
@@ -270,7 +270,7 @@ def check_attack_cycle(info: RuleInfo, ctx: LintContext) -> Iterator[Diagnostic]
     query = ctx.query
     if query is None:
         return  # self-join: QL001 already explains why we stop here
-    graph = AttackGraph(query)
+    graph = attack_graph(query)
     cycle = graph.find_cycle()
     if cycle is None:
         return
@@ -341,7 +341,7 @@ def check_reifiable_keys(info: RuleInfo, ctx: LintContext) -> Iterator[Diagnosti
     query = ctx.query
     if query is None or not query.has_weakly_guarded_negation:
         return
-    unattacked = AttackGraph(query).unattacked_variables()
+    unattacked = attack_graph(query).unattacked_variables()
     for lit in ctx.literals:
         key_vars = lit.atom.key_vars
         if not key_vars or not key_vars <= unattacked:

@@ -457,7 +457,6 @@ def sql_mirror(db: Database) -> SQLiteMirror:
 def native_sql_answers(compiled, db: Database) -> FrozenSet[Tuple]:
     """Answer rows of a compiled query, entirely inside sqlite."""
     result = sql_mirror(db).answers(compiled)
-    STATS["pushdown"]["routed_sql"] += 1
     STATS["pushdown"]["native_sql"] += 1
     return result
 
@@ -465,7 +464,6 @@ def native_sql_answers(compiled, db: Database) -> FrozenSet[Tuple]:
 def native_sql_holds(compiled, db: Database) -> bool:
     """Boolean certainty probe inside sqlite."""
     result = sql_mirror(db).holds(compiled)
-    STATS["pushdown"]["routed_sql"] += 1
     STATS["pushdown"]["native_sql"] += 1
     return result
 

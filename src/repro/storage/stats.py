@@ -34,8 +34,7 @@ def _fresh() -> Dict[str, Any]:
         "wal_pruned": 0,         # WAL segment files deleted
         # SQL pushdown routing + native execution
         "pushdown": {
-            "routed_sql": 0,           # queries served by the mirror
-            "native_sql": 0,           # of those, plan-IR→SQL native runs
+            "native_sql": 0,           # queries run as one SELECT in the mirror
             "fallback_small": 0,       # auto kept a store below SQL_MIN_FACTS
             "mirror_rebuilds": 0,      # full reloads of the sqlite mirror
             "mirror_delta_rows": 0,    # fact rows applied incrementally

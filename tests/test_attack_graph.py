@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.attack_graph import (
     AttackGraph,
+    attack_graph,
     attack_witness,
     attacked_from,
     attacked_variables,
@@ -13,7 +14,9 @@ from repro.core.attack_graph import (
     attacks_variable,
     cooccurrence_graph,
 )
+from repro.core.classify import classify
 from repro.core.terms import Constant, Variable
+from repro.cqa.certain_answers import OpenQuery
 from repro.workloads.generators import QueryParams, random_query
 from repro.workloads.queries import (
     poll_q1,
@@ -243,3 +246,158 @@ class TestConstantsInAtoms:
                 continue
             v = sorted(q.vars)[0]
             assert q.substitute({v: Constant("c99")}).has_weakly_guarded_negation
+
+
+# ----------------------------------------------------------------------
+# Oracle: the one-pass shared graph against Section 4.1, recomputed per
+# atom straight from the definitions.
+# ----------------------------------------------------------------------
+
+
+def ref_closure(q, f):
+    """F^{+,q}: key(F) closed under K(q+ \\ {F}) by the naive fixpoint."""
+    fds = [(p.key_vars, p.vars) for p in q.positives if p != f]
+    closed = set(f.key_vars)
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in fds:
+            if lhs <= closed and not rhs <= closed:
+                closed |= rhs
+                changed = True
+    return frozenset(closed)
+
+
+def ref_attacked_from(q, f, u):
+    """All w with F|u ~> w: walk co-occurrence in q+ outside F^{+,q}."""
+    forbidden = ref_closure(q, f)
+    if u in forbidden:
+        return frozenset()
+    reached, todo = {u}, [u]
+    while todo:
+        v = todo.pop()
+        for p in q.positives:
+            if v in p.vars:
+                for w in p.vars - forbidden - reached:
+                    reached.add(w)
+                    todo.append(w)
+    return frozenset(reached)
+
+
+def ref_attacked(q, f):
+    out = frozenset()
+    for u in f.vars:
+        out |= ref_attacked_from(q, f, u)
+    return out
+
+
+def ref_edges(q):
+    attacked = {f: ref_attacked(q, f) for f in q.atoms}
+    return {(f, g) for f in q.atoms for g in q.atoms
+            if f != g and attacked[f] & g.key_vars}
+
+
+def ref_acyclic(atoms, edges):
+    """Kahn's algorithm: acyclic iff every atom can be removed."""
+    indegree = {a: sum(1 for _, g in edges if g == a) for a in atoms}
+    ready = [a for a in atoms if indegree[a] == 0]
+    removed = 0
+    while ready:
+        a = ready.pop()
+        removed += 1
+        for f, g in edges:
+            if f == a:
+                indegree[g] -= 1
+                if indegree[g] == 0:
+                    ready.append(g)
+    return removed == len(atoms)
+
+
+def ref_weakly_guarded(q):
+    """Every pair of variables of a negated atom (or disequality)
+    co-occurs in some positive atom."""
+    for vs in [n.vars for n in q.negatives] + [d.vars for d in q.diseqs]:
+        for u in vs:
+            for w in vs:
+                if not any(u in p.vars and w in p.vars for p in q.positives):
+                    return False
+    return True
+
+
+def oracle_queries():
+    """Named queries, their groundings, and random draws that force
+    constants and repeated variables."""
+    named = [q0(), q1(), q2(), q2_example41(), q3(), poll_qa(), poll_qb(),
+             poll_q1(), poll_q2(), q_hall(2), q_hall(3)]
+    queries = list(named)
+    for q in named:
+        for v in sorted(q.vars)[:2]:
+            queries.append(OpenQuery(q, (v,)).boolean_form)
+    grid = [
+        QueryParams(constant_probability=0.3),
+        QueryParams(n_variables=2, max_arity=3),
+        QueryParams(n_variables=2, max_arity=3, constant_probability=0.3),
+        QueryParams(n_positive=2, n_negative=2, n_variables=3,
+                    constant_probability=0.3, require_weakly_guarded=False),
+    ]
+    rng = random.Random(20180611)
+    for params in grid:
+        queries += [random_query(params, rng) for _ in range(40)]
+    return queries
+
+
+class TestOracle:
+    QUERIES = oracle_queries()
+
+    def test_grid_hits_constants_and_repeated_variables(self):
+        terms = [a.terms for q in self.QUERIES for a in q.atoms]
+        assert any(any(isinstance(t, Constant) for t in ts) for ts in terms)
+        assert any(len(set(ts)) < len(ts) for ts in terms)
+        assert not all(q.has_weakly_guarded_negation for q in self.QUERIES)
+
+    def test_edges_match_definition(self):
+        for q in self.QUERIES:
+            graph = attack_graph(q)
+            assert len(set(graph.edges)) == len(graph.edges), q
+            assert set(graph.edges) == ref_edges(q), q
+            assert set(AttackGraph(q).edges) == set(graph.edges), q
+
+    def test_attacked_sets_match_definition(self):
+        for q in self.QUERIES:
+            graph = attack_graph(q)
+            for a in q.atoms:
+                assert graph.attacked_vars(a) == ref_attacked(q, a), (q, a)
+                assert attacked_variables(q, a) == ref_attacked(q, a), (q, a)
+                for u in a.vars:
+                    assert (attacked_from(q, a, u)
+                            == ref_attacked_from(q, a, u)), (q, a, u)
+
+    def test_witnesses_are_valid(self):
+        for q in self.QUERIES:
+            adj = cooccurrence_graph(q)
+            for a in q.atoms:
+                forbidden = ref_closure(q, a)
+                attacked = ref_attacked(q, a)
+                for target in q.vars:
+                    w = attack_witness(q, a, target)
+                    if target not in attacked:
+                        assert w is None, (q, a, target)
+                        continue
+                    assert w[0] in a.vars and w[-1] == target
+                    assert not set(w) & forbidden
+                    for u, v in zip(w, w[1:]):
+                        assert v in adj[u]
+                        assert any(u in p.vars and v in p.vars
+                                   for p in q.positives)
+
+    def test_classify_matches_reference_verdict(self):
+        for q in self.QUERIES:
+            acyclic = ref_acyclic(q.atoms, ref_edges(q))
+            expected = acyclic and ref_weakly_guarded(q)
+            assert classify(q).in_fo == expected, q
+            assert classify(q).acyclic == acyclic, q
+
+    def test_shared_graph_is_reused(self):
+        q = poll_qa()
+        assert attack_graph(q) is attack_graph(poll_qa())
+        assert attack_graph.cache_info().maxsize <= 512

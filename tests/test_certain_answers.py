@@ -12,6 +12,7 @@ from repro.cqa.certain_answers import (
     cross_validate_answers,
     open_rewriting,
 )
+from repro.cqa.engine import CertaintyEngine
 from repro.fo.formula import free_variables
 from repro.workloads.generators import random_small_database
 from repro.workloads.queries import poll_qa, q1, q3
@@ -30,6 +31,16 @@ class TestOpenQuery:
     def test_free_vars_must_be_distinct(self):
         with pytest.raises(QueryError):
             OpenQuery(q3(), [x, x])
+
+    @pytest.mark.parametrize("free", [["p"], "p", [p, "t"]])
+    def test_non_variable_members_rejected_by_repr(self, free):
+        # Names are not answer variables: the error names the offending
+        # members instead of failing on their missing ``.name``.
+        db = db_from({"Lives/2/1": [("ann", "ghent")], "Born/2/1": [],
+                      "Likes/2/2": []})
+        engine = CertaintyEngine(poll_qa())
+        with pytest.raises(QueryError, match="'p'|'t'"):
+            engine.certain_answers(db, free)
 
     def test_grounded(self):
         oq = OpenQuery(q3(), [x])

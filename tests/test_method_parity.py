@@ -154,14 +154,10 @@ def test_store_backed_parity(seed, tmp_path_factory):
         for name in db.relations():
             store.add_all(name, db.facts(name))
     try:
-        before = storage_stats()["pushdown"]
-        routed_before = before["routed_sql"]
-        native_before = before["native_sql"]
+        native_before = storage_stats()["pushdown"]["native_sql"]
         assert_parity(OpenQuery(poll_qa(), [p]), store)
-        after = storage_stats()["pushdown"]
-        assert after["routed_sql"] > routed_before
         # The mirror ran the compiled plan natively, as one SELECT.
-        assert after["native_sql"] > native_before
+        assert storage_stats()["pushdown"]["native_sql"] > native_before
     finally:
         store.close()
 

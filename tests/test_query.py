@@ -1,10 +1,20 @@
 """Unit tests for repro.core.query (sjfBCQ¬ and sjfBCQ¬≠)."""
 
+import copy
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.atoms import atom
+from repro.core.parser import parse_query
 from repro.core.query import Diseq, Query, QueryError
-from repro.core.terms import Constant, Variable
+from repro.core.terms import Constant, PlaceholderConstant, Variable
+from repro.cqa.certain_answers import OpenQuery
 from repro.workloads.queries import (
     q1,
     q2,
@@ -184,3 +194,71 @@ class TestEqualityAndRepr:
 
     def test_repr_mentions_negation(self):
         assert "~" in repr(q1())
+
+
+class TestHashContract:
+    """Terms, schemas, atoms and queries cache their hash; equality and
+    hashing must not notice."""
+
+    TEXT = "R(x | y, 'c'), not S(y | x, 3)"
+
+    def test_independently_built_objects_hash_equal(self):
+        a, b = parse_query(self.TEXT), parse_query(self.TEXT)
+        pairs = [(Variable("x"), Variable("x")),
+                 (Constant("c"), Constant("c")),
+                 (Constant(3), Constant(3)),
+                 (a.positives[0].schema, b.positives[0].schema),
+                 (a.positives[0], b.positives[0]),
+                 (a.negatives[0], b.negatives[0]),
+                 (a, b)]
+        for left, right in pairs:
+            assert left is not right
+            assert left == right and hash(left) == hash(right)
+        assert {a: "found"}[b] == "found"
+        assert a != parse_query("R(x | y, 'c'), not S(y | x, 4)")
+
+    def test_placeholders_for_one_variable_stay_unequal(self):
+        p1, p2 = PlaceholderConstant(x), PlaceholderConstant(x)
+        assert p1 == p1 and p1 != p2
+        assert len({p1, p2}) == 2
+        assert p1 != Constant(p1.value) and Constant(p1.value) != p1
+
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+        ids=["deepcopy", "pickle"])
+    def test_copies_keep_equality_and_hash(self, clone):
+        q = OpenQuery(parse_query(self.TEXT), (x,)).boolean_form
+        objects = [q, *q.atoms, *(t for a in q.atoms for t in a.terms)]
+        hashes = [hash(obj) for obj in objects]
+        copied = clone(q)
+        copied_objects = [copied, *copied.atoms,
+                          *(t for a in copied.atoms for t in a.terms)]
+        assert copied_objects == objects
+        assert [hash(obj) for obj in copied_objects] == hashes
+        assert any(isinstance(t, PlaceholderConstant)
+                   for t in copied_objects)
+
+    def test_unpickled_in_another_interpreter_hashes_there(self, tmp_path):
+        # A string hashes differently under another hash seed, so a
+        # pickled query must not carry this interpreter's cached hash.
+        q = parse_query(self.TEXT)
+        hash(q)
+        blob = tmp_path / "query.pickle"
+        blob.write_bytes(pickle.dumps(q))
+        check = (
+            "import pickle, sys\n"
+            "from repro.core.parser import parse_query\n"
+            "q = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            f"fresh = parse_query({self.TEXT!r})\n"
+            "assert q == fresh and hash(q) == hash(fresh), 'stale hash'\n"
+            "assert {fresh: 1}.get(q) == 1\n"
+            "assert [hash(a) for a in q.atoms] == "
+            "[hash(a) for a in fresh.atoms]\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = pathlib.Path(repro.__file__).parent.parent
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-c", check, str(blob)],
+                                env=env, capture_output=True, text=True,
+                                timeout=60)
+        assert result.returncode == 0, result.stderr

@@ -242,7 +242,7 @@ class TestRouting:
         compiled = self.compiled(db)
         assert not mirror_capable(db)
         assert not prefer_sql(compiled, db)
-        assert storage_stats()["pushdown"]["routed_sql"] == 0
+        assert storage_stats()["pushdown"]["native_sql"] == 0
         # method="sql" still works, through a private in-memory mirror.
         engine = CertaintyEngine(poll_qa())
         assert engine.certain(db, "sql") == engine.certain(db, "compiled")
@@ -380,7 +380,6 @@ class TestEndToEnd:
                 == certain_answers(oq, db, "compiled"))
         # The sql run ran natively inside the store's file mirror.
         stats = storage_stats()["pushdown"]
-        assert stats["routed_sql"] >= 1
         assert stats["native_sql"] >= 1
         assert sql_mirror(db).path.name == "mirror.sqlite"
         db.close()
