@@ -742,6 +742,7 @@ def cmd_db_stats(args: argparse.Namespace) -> int:
     import json as _json
 
     from .storage import StorageError, open_database, sql_mirror
+    from .storage.pushdown import MIRROR_FILE
     from .storage.stats import storage_stats
 
     try:
@@ -750,12 +751,16 @@ def cmd_db_stats(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: {exc}")
     try:
         status = store.storage_status()
-        mirror = sql_mirror(store)
+        # Only an existing mirror is attached: building one here would
+        # make every store pay for a backend only method="sql" uses.
+        mirror = None
+        if (store.path / MIRROR_FILE).exists():
+            mirror = sql_mirror(store).stats()
         report = {
             "store": {"path": status["path"], "clock": status["clock"],
                       "facts": status["facts"],
                       "relations": status["relations"]},
-            "mirror": mirror.stats(),
+            "mirror": mirror,
             "pushdown": storage_stats()["pushdown"],
         }
     finally:
@@ -763,27 +768,29 @@ def cmd_db_stats(args: argparse.Namespace) -> int:
     if args.json:
         print(_json.dumps(report, indent=2, default=str))
         return 0
-    mirror_stats = report["mirror"]
     print(f"store:  {report['store']['path']} "
           f"(clock {report['store']['clock']}, "
           f"{report['store']['facts']} facts)")
-    print(f"mirror: format {mirror_stats['format']}, "
-          f"clock {mirror_stats['clock']} "
-          f"({'in sync' if mirror_stats['clock'] == report['store']['clock'] else 'STALE'}), "
-          f"{mirror_stats['dictionary_codes']} dictionary code(s), "
-          f"{mirror_stats['adom_values']} active-domain value(s)")
-    for name, info in mirror_stats["tables"].items():
-        print(f"  table {name}: {info['rows']} row(s), "
-              f"{info['indexes']} index(es)")
-    cache = mirror_stats["stmt_cache"]
-    rate = ("n/a" if cache["hit_rate"] is None
-            else f"{cache['hit_rate']:.2%}")
-    print(f"statement cache: {cache['entries']}/{cache['capacity']} "
-          f"entries, {cache['hits']} hit(s), {cache['misses']} miss(es), "
-          f"hit rate {rate}")
+    if mirror is None:
+        print('mirror: none (built by the first method="sql" call)')
+    else:
+        in_sync = mirror["clock"] == report["store"]["clock"]
+        print(f"mirror: format {mirror['format']}, "
+              f"clock {mirror['clock']} "
+              f"({'in sync' if in_sync else 'STALE'}), "
+              f"{mirror['dictionary_codes']} dictionary code(s), "
+              f"{mirror['adom_values']} active-domain value(s)")
+        for name, info in mirror["tables"].items():
+            print(f"  table {name}: {info['rows']} row(s), "
+                  f"{info['indexes']} index(es)")
+        cache = mirror["stmt_cache"]
+        rate = ("n/a" if cache["hit_rate"] is None
+                else f"{cache['hit_rate']:.2%}")
+        print(f"statement cache: {cache['entries']}/{cache['capacity']} "
+              f"entries, {cache['hits']} hit(s), {cache['misses']} "
+              f"miss(es), hit rate {rate}")
     pd = report["pushdown"]
     print(f"pushdown: {pd['native_sql']} native, "
-          f"{pd['fallback_small']} below-threshold fallback(s), "
           f"{pd['mirror_rebuilds']} rebuild(s), "
           f"{pd['mirror_delta_rows']} delta row(s)")
     return 0
@@ -850,8 +857,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "mutually exclusive with --db")
     p.add_argument("--method", default="auto",
                    choices=("auto",) + METHODS,
-                   help="solving strategy (auto: compiled when in FO, "
-                        "else brute)")
+                   help="solving strategy (auto: brute outside FO, "
+                        "else the compiled plan's short-circuit probe; "
+                        "sql only when asked)")
     p.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="worker count for --method parallel (implies it "
                         "when --method is auto; Boolean certainty falls "
@@ -881,9 +889,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="auto",
                    choices=("auto", "brute", "interpreted", "rewriting",
                             "compiled", "sql", "parallel", "columnar"),
-                   help="solving strategy (auto: compiled when in FO, "
-                        "else brute; columnar runs the vectorized batch "
-                        "executor)")
+                   help="solving strategy (auto: brute outside FO, "
+                        "else columnar on databases of at least 4000 "
+                        "facts and compiled below that; sql only when "
+                        "asked)")
     p.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="worker count for --method parallel (implies it "
                         "when --method is auto)")

@@ -4,8 +4,8 @@ Dictionary-encoded ``array('q')`` columns (:mod:`repro.columnar.dictionary`,
 :mod:`repro.columnar.relation`) and a batch-at-a-time
 :class:`~repro.columnar.executor.VectorExecutor` over the same plan
 trees the tuple :class:`~repro.fo.plan.Executor` runs — reachable as
-``method="columnar"`` and, above the cost-model threshold, from
-``method="auto"``.  The tuple executor remains the oracle: the parity
+``method="columnar"`` and, for open queries on databases of at least
+``COLUMNAR_MIN_FACTS`` facts, from ``method="auto"``.  The tuple executor remains the oracle: the parity
 suites cross-validate every columnar path against it.
 """
 

@@ -147,11 +147,13 @@ class ColumnarStore:
             for j in range(arity)
         )
         self._encoded[relation] = (version, columns, len(rows))
-        # Scan results derive from these columns; drop their stale entries.
-        stale = [k for k, v in self._scans.items()
-                 if k[0] == relation and v[0] != version]
-        for key in stale:
-            del self._scans[key]
+        # Scan results derive from these columns; drop their stale
+        # entries.  Concurrent readers (repro serve shares the read
+        # lock) insert and sweep too: iterate a snapshot, and let a key
+        # another thread already removed stay removed.
+        for key, (built, _) in list(self._scans.items()):
+            if key[0] == relation and built != version:
+                self._scans.pop(key, None)
         return columns, len(rows)
 
     def scan_cache_get(self, db: Database, key: Tuple):

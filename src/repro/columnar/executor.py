@@ -31,9 +31,9 @@ Two deliberate delegations to the row executor (the oracle):
   is what performance rule QP109 warns about statically.
 
 ``method="columnar"`` reaches this executor through
-:func:`columnar_rows`; ``method="auto"`` routes here when
-:func:`prefer_columnar` — database size gate plus the PR 6 cost model —
-says the batch win outweighs the encoding cost.
+:func:`columnar_rows`; ``method="auto"`` routes every open query here
+once the database reaches :data:`COLUMNAR_MIN_FACTS` facts (see
+:func:`prefer_columnar`).
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ __all__ = [
     "prefer_columnar",
     "columnar_stats",
     "reset_columnar_stats",
-    "COLUMNAR_COST_THRESHOLD",
     "COLUMNAR_MIN_FACTS",
 ]
 
@@ -86,11 +85,6 @@ Row = Tuple
 #: Below this many facts ``auto`` never routes to the columnar backend
 #: (encoding whole relations costs more than small tuple runs save).
 COLUMNAR_MIN_FACTS = 4000
-
-#: ``method="auto"`` routes to the columnar backend only above this
-#: estimated plan cost (the System-R cost model): cheap plans finish
-#: before the batch machinery warms up.
-COLUMNAR_COST_THRESHOLD = 50_000.0
 
 _STATS: Dict[str, int] = {}
 
@@ -720,43 +714,25 @@ def columnar_holds(compiled, db: Database, profile=None) -> bool:
 
 
 # ----------------------------------------------------------------------
-# cost-model routing
+# routing
 # ----------------------------------------------------------------------
-
-_ROUTE_CACHE_LIMIT = 64
-_route_cache: Dict[Tuple, bool] = {}
 
 
 def prefer_columnar(compiled, db: Database) -> bool:
     """Should ``method="auto"`` take the columnar backend for this run?
 
-    Three gates, cheapest first: the query must be open (sentences are
-    probe-delegated anyway), the database must carry at least
-    :data:`COLUMNAR_MIN_FACTS` facts, and the PR 6 cost model's
-    estimate for the plan must reach :data:`COLUMNAR_COST_THRESHOLD` —
-    below that, tuple execution finishes before column encoding pays
-    off.  Plans touching Adom* stay on the tuple executor (their batch
-    form is a decode fallback; QP109 reports this statically).
-    Decisions are cached per (database, clock, plan).
+    Three gates, cheapest first: the query must be open (a sentence
+    runs on the row executor's short-circuit probe), its plan must be
+    free of Adom* nodes (their batch form is a decode fallback; QP109
+    reports this statically), and the database must carry at least
+    :data:`COLUMNAR_MIN_FACTS` facts.  Past that size columnar measured
+    at least as fast as the row executor on every open query, the
+    cheapest included, so no cost estimate is consulted and routing
+    never scans the database.
     """
-    if not compiled.free:
+    if not compiled.free or compiled.uses_adom:
         return False
     if db.size() < COLUMNAR_MIN_FACTS:
         return False
-    key = (id(db), db.clock, id(compiled.plan))
-    hit = _route_cache.get(key)
-    if hit is None:
-        from ..analysis.cost import CostModel, table_stats
-        from ..analysis.verifier import plan_uses_adom
-
-        if plan_uses_adom(compiled.plan):
-            hit = False
-        else:
-            report = CostModel(table_stats(db)).estimate(compiled.plan)
-            hit = report.total_cost >= COLUMNAR_COST_THRESHOLD
-        if len(_route_cache) >= _ROUTE_CACHE_LIMIT:
-            _route_cache.clear()
-        _route_cache[key] = hit
-    if hit:
-        _STATS["auto_routed"] += 1
-    return hit
+    _STATS["auto_routed"] += 1
+    return True

@@ -41,10 +41,12 @@ Strategies (the ``method`` of :class:`repro.obs.ExecutionOptions`):
     ``jobs=1``, ...).
 ``auto``
     ``brute`` outside FO.  Otherwise compile once and hand that plan to
-    ``sql`` when :func:`repro.storage.pushdown.prefer_sql` says a
-    store's mirror should take it, else to ``columnar`` when
-    :func:`repro.columnar.prefer_columnar` says batching pays, else to
-    ``compiled``.  ``auto`` with ``jobs`` set means ``parallel``.
+    ``columnar`` when :func:`repro.columnar.prefer_columnar` says so (an
+    open query on a large database), else to ``compiled`` — which
+    answers every sentence with its short-circuit probe.  ``auto``
+    never picks ``sql``: on the measured stores the mirror lost to
+    both, so it is built and maintained only for callers that ask for
+    it.  ``auto`` with ``jobs`` set means ``parallel``.
 
 Every method but ``brute`` needs Theorem 4.3's rewriting and raises a
 coded :class:`~repro.cqa.rewriting.NotInFO` for a query outside FO.
@@ -421,13 +423,8 @@ def _dispatch(
 def _route(compiled: CompiledQuery, db: Database) -> str:
     """The backend ``auto`` hands an FO query's compiled plan to."""
     from ..columnar import prefer_columnar
-    from ..storage.pushdown import prefer_sql
 
-    if prefer_sql(compiled, db):
-        return "sql"
-    if prefer_columnar(compiled, db):
-        return "columnar"
-    return "compiled"
+    return "columnar" if prefer_columnar(compiled, db) else "compiled"
 
 
 def _execute(method: str, compiled: CompiledQuery, open_query: OpenQuery,

@@ -268,12 +268,19 @@ class Database:
     ) -> FrozenSet[Tuple]:
         """All rows whose columns match *bindings* (position -> value).
 
-        Empty bindings return every row of the relation.
+        Empty bindings return every row of the relation.  With every
+        position bound this is a membership test on the fact set: an
+        index keyed on whole rows would hold one single-row set per
+        fact and answer nothing a set lookup does not.
         """
         if not bindings:
             return self.facts(relation)
         positions = tuple(sorted(bindings))
         key = tuple(bindings[i] for i in positions)
+        schema = self.schemas.get(relation)
+        if schema is not None and len(positions) == schema.arity:
+            rows = self._facts.get(relation, ())
+            return frozenset((key,)) if key in rows else frozenset()
         return self.index(relation, positions).get(key, frozenset())
 
     def copy(self) -> "Database":

@@ -85,13 +85,28 @@ class CompiledQuery:
     ``free == ()`` and is queried with :meth:`holds`.
     """
 
-    __slots__ = ("formula", "free", "plan", "constants")
+    __slots__ = ("formula", "free", "plan", "constants", "_uses_adom")
 
     def __init__(self, formula: Formula, free: Cols, plan: Plan, constants: Tuple):
         self.formula = formula
         self.free = free
         self.plan = plan
         self.constants = constants
+        self._uses_adom: Optional[bool] = None
+
+    @property
+    def uses_adom(self) -> bool:
+        """Does the plan touch the active domain (an Adom* node)?
+
+        Walked once per compiled query: the plan cache interns these
+        objects, so routing asks this per call at the cost of a slot
+        read.
+        """
+        if self._uses_adom is None:
+            from ..analysis.verifier import plan_uses_adom
+
+            self._uses_adom = plan_uses_adom(self.plan)
+        return self._uses_adom
 
     def rows(self, db: Database, profile=None) -> FrozenSet[Row]:
         """All satisfying assignments over ``free``, in one execution.

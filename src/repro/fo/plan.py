@@ -411,11 +411,16 @@ class Executor:
         proj = plan.proj
         profile = self._profile
         if not plan.consts and not checks:
+            if profile is not None:
+                profile.count(plan, "index_hits")
+            if len(proj) == schema.arity:
+                # A projection covering every position is a permutation
+                # of distinct rows: read the facts, build no index.
+                getter = _tuple_getter(proj)
+                return {getter(r) for r in self.db.facts(plan.atom.relation)}
             # The keys of the database's hash index on ``proj`` ARE the
             # projected rows — and the index is version-cached on the
             # database, so repeated executions reuse it.
-            if profile is not None:
-                profile.count(plan, "index_hits")
             return set(self.db.index(plan.atom.relation, proj))
         rows: Sequence[Row] = self.db.lookup(plan.atom.relation, plan.consts)
         if profile is not None:

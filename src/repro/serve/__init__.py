@@ -2,9 +2,10 @@
 
 ``repro serve --db-path STORE`` boots a daemon that owns one
 :class:`~repro.storage.store.PersistentDatabase` and keeps every
-expensive artifact warm across requests — the FO plan cache, the SQL
-statement cache and integer mirror, the forked parallel worker pools,
-and registered incremental views.  Requests carry the same
+expensive artifact warm across requests — the FO plan cache, the
+columnar store, the SQL statement cache and integer mirror (once a
+``sql`` request builds it), the forked parallel worker pools, and
+registered incremental views.  Requests carry the same
 :class:`repro.obs.ExecutionOptions` document the library takes, so the
 wire API and the Python API describe execution identically.
 

@@ -3,9 +3,10 @@
 One :class:`ReproServer` owns one database (usually a
 :class:`~repro.storage.store.PersistentDatabase`) for its whole
 lifetime, so everything the batch CLI rebuilds per invocation stays
-warm across requests: the FO plan cache, the SQL statement cache and
-integer-encoded mirror, the forked parallel worker pools, and every
-registered incremental view.
+warm across requests: the FO plan cache, the columnar store's encoded
+columns and scan caches, the SQL statement cache and integer-encoded
+mirror (once a ``sql`` request builds it), the forked parallel worker
+pools, and every registered incremental view.
 
 Concurrency model
 -----------------

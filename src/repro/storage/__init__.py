@@ -15,7 +15,6 @@ See ``docs/STORAGE.md`` for the file formats and recovery protocol.
 
 from .chaos import run_chaos
 from .pushdown import (
-    SQL_MIN_FACTS,
     SQL_STMT_CACHE_SIZE,
     SQLiteMirror,
     mirror_capable,
@@ -61,7 +60,6 @@ __all__ = [
     "native_sql_answers",
     "native_sql_holds",
     "prefer_sql",
-    "SQL_MIN_FACTS",
     "SQL_STMT_CACHE_SIZE",
     "CompiledSQL",
     "compile_plan",

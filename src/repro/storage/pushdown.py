@@ -2,8 +2,9 @@
 
 The paper's practicality claim — a consistent first-order rewriting is
 a single SQL query over the *inconsistent* database — runs natively
-here: a store keeps ``mirror.sqlite`` delta-consistent by subscribing
-to the same changelog the WAL rides, and :mod:`repro.storage.sqlgen`
+here, behind ``method="sql"``: a store's first such call attaches
+``mirror.sqlite``, which then stays delta-consistent by subscribing to
+the same changelog the WAL rides, and :mod:`repro.storage.sqlgen`
 compiles the verified plan IR straight to one parameterized SELECT
 that sqlite executes end-to-end.  No per-call loading, no per-row
 Python decode: answer rows come back as dictionary codes and land in
@@ -33,10 +34,9 @@ Any other database gets a private ``:memory:`` mirror on its first
 ``method="sql"`` call, kept in step by the same changelog
 subscription, so ``sql`` runs the plan-IR compiler everywhere.
 
-Routing: :func:`prefer_sql` is the cost gate ``method="auto"`` consults
-*before* :func:`repro.columnar.prefer_columnar`.  SQL wins when the
-database is a persistent store (plain in-memory databases are never
-rerouted) holding at least :data:`SQL_MIN_FACTS` facts.
+Routing: ``method="auto"`` never pushes down (see :func:`prefer_sql`),
+so a store that only serves ``auto`` reads never builds a mirror and
+its commits pay no sqlite transaction.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .sqlgen import ADOM_TABLE, compile_plan, plan_relations
 from .stats import STATS
 
 __all__ = ["SQLiteMirror", "sql_mirror", "mirror_capable", "prefer_sql",
-           "native_sql_answers", "native_sql_holds", "SQL_MIN_FACTS",
+           "native_sql_answers", "native_sql_holds",
            "SQL_STMT_CACHE_SIZE", "MIRROR_FORMAT"]
 
 MIRROR_FILE = "mirror.sqlite"
@@ -73,11 +73,6 @@ _INTERNAL_TABLES = frozenset((_META_TABLE, _DICT_TABLE, ADOM_TABLE))
 #: Bumped whenever the on-disk layout changes; a mismatch (including
 #: any pre-integer TEXT mirror) forces one full rebuild.
 MIRROR_FORMAT = "2"
-
-#: Below this many facts the per-query overhead of sqlite (statement
-#: lookup, bulk decode) beats the in-memory executors, so ``auto``
-#: keeps a store off the mirror.
-SQL_MIN_FACTS = 4096
 
 #: Compiled-statement LRU entries per mirror.
 SQL_STMT_CACHE_SIZE = 64
@@ -469,16 +464,13 @@ def native_sql_holds(compiled, db: Database) -> bool:
 
 
 def prefer_sql(compiled, db: Database) -> bool:
-    """Should ``method="auto"`` push this run down to the mirror?
+    """Should ``method="auto"`` push this run down to the mirror?  Never.
 
-    Checked before :func:`repro.columnar.prefer_columnar`.  Two gates:
-    the database must be an open persistent store (plain in-memory
-    databases keep their current routing untouched), holding at least
-    :data:`SQL_MIN_FACTS` facts.
+    On the measured stores the mirror is slower than columnar on every
+    open query and than the compiled probe on every sentence, and
+    keeping it current costs every commit a sqlite transaction, so SQL
+    runs only when a caller asks for ``method="sql"``.  Nothing in
+    the program calls this; the name stays for the benchmark's tracer,
+    which wraps it.
     """
-    if not mirror_capable(db):
-        return False
-    if db.size() < SQL_MIN_FACTS:
-        STATS["pushdown"]["fallback_small"] += 1
-        return False
-    return True
+    return False

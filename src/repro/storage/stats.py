@@ -3,9 +3,8 @@
 One flat counter dict, mirroring the columnar backend's ``_STATS``
 pattern: subsystem code increments plain keys, the obs layer snapshots
 them through :func:`storage_stats`, and tests reset between cases with
-:func:`reset_storage_stats`.  The pushdown router keeps its own nested
-section so routing decisions (and the reasons SQL was *not* chosen)
-are auditable from one ``--stats`` dump.
+:func:`reset_storage_stats`.  The SQL pushdown keeps its own nested
+section (native runs, mirror maintenance, statement cache).
 """
 
 from __future__ import annotations
@@ -32,10 +31,9 @@ def _fresh() -> Dict[str, Any]:
         "snapshot_bytes": 0,     # bytes of the most recent snapshot
         "snapshot_ms": 0.0,      # cumulative snapshot wall time
         "wal_pruned": 0,         # WAL segment files deleted
-        # SQL pushdown routing + native execution
+        # SQL pushdown: native execution and mirror maintenance
         "pushdown": {
             "native_sql": 0,           # queries run as one SELECT in the mirror
-            "fallback_small": 0,       # auto kept a store below SQL_MIN_FACTS
             "mirror_rebuilds": 0,      # full reloads of the sqlite mirror
             "mirror_delta_rows": 0,    # fact rows applied incrementally
             "adom_delta_rows": 0,      # active-domain refcount upserts

@@ -1,12 +1,18 @@
 """Tests for the command-line interface."""
 
 import json
+import random
 
 import pytest
 
 from repro.cli import main
+from repro.columnar.executor import COLUMNAR_MIN_FACTS
 from repro.db.io import save_database
-from repro.workloads.poll import paper_flavoured_poll_database
+from repro.storage import reset_storage_stats
+from repro.workloads.poll import (
+    paper_flavoured_poll_database,
+    random_poll_database,
+)
 
 from conftest import db_from
 
@@ -287,6 +293,30 @@ class TestDbCommands:
         # Tables with non-key columns carry the suffix index.
         assert any(info["indexes"] >= 1 for info in tables.values())
         assert report["pushdown"]["native_sql"] >= 1
+
+    def test_auto_and_stats_build_no_mirror(self, capsys, tmp_path):
+        # Above the columnar size gate auto reads skip SQL, and stats
+        # reports the missing mirror instead of building one.
+        reset_storage_stats()
+        source = tmp_path / "poll.json"
+        save_database(random_poll_database(n_people=1200, n_towns=60,
+                                           rng=random.Random(1)), source)
+        store = tmp_path / "store"
+        assert main(["db", "init", str(store), "--from", str(source)]) == 0
+        assert main(["answers", QA, "--free", "p",
+                     "--db-path", str(store)]) == 0
+        capsys.readouterr()
+        assert not (store / "mirror.sqlite").exists()
+
+        assert main(["db", "stats", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert 'mirror: none (built by the first method="sql" call)' in out
+        assert "pushdown: 0 native" in out
+        assert main(["db", "stats", str(store), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mirror"] is None
+        assert report["store"]["facts"] >= COLUMNAR_MIN_FACTS
+        assert not (store / "mirror.sqlite").exists()
 
     def test_init_refuses_existing_store(self, capsys, tmp_path):
         store = str(tmp_path / "store")

@@ -39,9 +39,8 @@ from repro.cqa.certain_answers import (
     _guarded_open_rewriting,
     certain_answers,
 )
-from repro.db.database import Database
 from repro.db.io import save_database
-from repro.fo.compile import plan_cache
+from repro.fo.compile import CompiledQuery, plan_cache
 from repro.fo.plan import (
     AdomGuard,
     AdomProduct,
@@ -417,7 +416,6 @@ class TestRouting:
 
     def test_boolean_never_routes(self, monkeypatch):
         monkeypatch.setattr(columnar_executor, "COLUMNAR_MIN_FACTS", 0)
-        monkeypatch.setattr(columnar_executor, "COLUMNAR_COST_THRESHOLD", 0)
         db = random_poll_database(6, 3, conflict_rate=0.5,
                                   rng=random.Random(2))
         from repro.cqa.rewriting import consistent_rewriting
@@ -429,7 +427,6 @@ class TestRouting:
 
     def test_auto_upgrades_above_thresholds(self, monkeypatch):
         monkeypatch.setattr(columnar_executor, "COLUMNAR_MIN_FACTS", 0)
-        monkeypatch.setattr(columnar_executor, "COLUMNAR_COST_THRESHOLD", 0)
         db = random_poll_database(6, 3, conflict_rate=0.5,
                                   rng=random.Random(3))
         oq = OpenQuery(poll_qa(), [p])
@@ -438,13 +435,34 @@ class TestRouting:
         assert columnar_stats()["runs"] == before + 1
         assert answers == certain_answers(oq, db, "compiled")
 
-    def test_high_cost_threshold_keeps_tuples(self, monkeypatch):
+    def test_adom_plan_keeps_tuples(self, monkeypatch):
+        # An Adom* node has no batch form (a decode fallback), so auto
+        # leaves the plan on the row executor at any size.
         monkeypatch.setattr(columnar_executor, "COLUMNAR_MIN_FACTS", 0)
-        monkeypatch.setattr(columnar_executor, "COLUMNAR_COST_THRESHOLD", 1e18)
         db = random_poll_database(6, 3, conflict_rate=0.5,
                                   rng=random.Random(4))
-        compiled = self._compiled(db)
+        compiled = CompiledQuery(None, (p,), Project(AdomProduct((p,)), (p,)),
+                                 ())
+        assert compiled.uses_adom
         assert not prefer_columnar(compiled, db)
+        assert prefer_columnar(self._compiled(db), db)
+
+    def test_routing_reads_no_table_stats(self, monkeypatch):
+        # Routing is three cheap gates: no cost estimate, so no scan of
+        # the database, before or after a write.
+        import repro.analysis.cost as cost
+
+        def scan(db):
+            raise AssertionError("prefer_columnar scanned the database")
+
+        monkeypatch.setattr(cost, "table_stats", scan)
+        monkeypatch.setattr(columnar_executor, "COLUMNAR_MIN_FACTS", 0)
+        db = random_poll_database(6, 3, conflict_rate=0.5,
+                                  rng=random.Random(5))
+        compiled = self._compiled(db)
+        assert prefer_columnar(compiled, db)
+        db.add("Lives", ("p-new", "t0"))
+        assert prefer_columnar(compiled, db)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,15 @@
 """Tests for the lazy column indexes on Database."""
 
+import random
+
+import pytest
 
 from repro.db.database import Database
 from repro.core.atoms import RelationSchema
+from repro.cqa.rewriting import consistent_rewriting
+from repro.fo.compile import plan_cache
+from repro.workloads import random_poll_database
+from repro.workloads.queries import poll_qa, poll_qb
 
 from conftest import db_from
 
@@ -127,3 +134,38 @@ class TestLookup:
             value = rng.randint(0, 4)
             expected = frozenset(r for r in rows if r[0] == value)
             assert db.lookup("R", {0: value}) == expected
+
+    def test_whole_row_lookup_is_a_membership_test(self, rng):
+        db = Database([RelationSchema("R", 3, 1)])
+        for _ in range(40):
+            db.add("R", tuple(rng.randint(0, 3) for _ in range(3)))
+        probes = [tuple(rng.randint(0, 3) for _ in range(3))
+                  for _ in range(30)]
+        # Bindings in any order name the same row.
+        got = [db.lookup("R", dict(reversed(list(enumerate(row)))))
+               for row in probes]
+        assert not db._indexes
+        assert all(isinstance(rows, frozenset) for rows in got)
+        index = db.index("R", (0, 1, 2))
+        assert got == [index.get(row, frozenset()) for row in probes]
+        row = next(iter(db.facts("R")))
+        db.discard("R", row)
+        assert db.lookup("R", dict(enumerate(row))) == frozenset()
+
+
+class TestPlanIndexes:
+    @pytest.mark.parametrize("query", [poll_qa(), poll_qb()],
+                             ids=["poll_qa", "poll_qb"])
+    def test_compiled_probe_builds_no_whole_row_index(self, query):
+        # Whole-row indexes hold one single-row set per fact and serve
+        # only membership tests and full scans, which the fact set
+        # answers directly.
+        db = random_poll_database(n_people=200, n_towns=10,
+                                  rng=random.Random(3))
+        compiled = plan_cache.get_or_compile(consistent_rewriting(query), db)
+        holds = compiled.holds(db)
+        assert compiled.rows(db) == (frozenset({()}) if holds
+                                     else frozenset())
+        whole = [key for key in db._indexes
+                 if len(key[1]) == db.schemas[key[0]].arity]
+        assert whole == []

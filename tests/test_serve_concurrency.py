@@ -14,19 +14,34 @@ batch writer and assert the three invariants the lock exists for:
 - **composable change windows** — folding successive
   ``changed_since`` diffs from long-polls reproduces exactly the final
   answer set (same canonical digest) a fresh query reports.
+
+Readers also share the columnar store behind ``auto``; the last test
+races two of them on its caches after every write.
 """
 
 from __future__ import annotations
 
 import asyncio
+import random
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.core.atoms import RelationSchema
+from repro.core.parser import parse_query
+from repro.core.terms import Variable
+from repro.cqa.certain_answers import OpenQuery, certain_answers
 from repro.serve import answers_digest
 from repro.serve.app import _RWLock
 from repro.storage import PersistentDatabase
+from repro.workloads import (
+    UpdateStreamParams,
+    apply_update_stream,
+    random_poll_database,
+    random_update_stream,
+)
 
 from test_serve import ServerHandle, check_shape
 
@@ -228,3 +243,56 @@ def test_stale_long_poll_window_is_refused(tmp_path):
         assert status == 409
         assert body["error"]["code"] == "stale-version"
         assert body["error"]["version"] > first_version
+
+
+#: The four open queries serve-open sends to ``/v1/answers``.
+SERVE_QUERIES = (
+    ("Lives(p | t), not Born(p | t), not Likes(p, t)", ("p",)),
+    ("Lives(p | t), not Born(p | t)", ("p",)),
+    ("Mayor(t | p)", ("t",)),
+    ("Likes(p, t), not Born(p | t), not Lives(p | t)", ("p",)),
+)
+
+
+def test_columnar_readers_share_one_store():
+    # Readers under the shared read lock hit one columnar store: after a
+    # write, each re-encodes the relations it touched and sweeps their
+    # stale scans while the other inserts fresh ones.  A tiny switch
+    # interval makes that interleaving likely within a few batches.
+    db = random_poll_database(n_people=600, n_towns=30,
+                              rng=random.Random(7))
+    stream = random_update_stream(
+        db, UpdateStreamParams(n_batches=400, batch_size=20),
+        rng=random.Random(8))
+    queries = [OpenQuery(parse_query(text), [Variable(n) for n in free])
+               for text, free in SERVE_QUERIES]
+    errors = []
+
+    def read(out):
+        try:
+            out.extend(certain_answers(oq, db, "columnar") for oq in queries)
+        except Exception as exc:  # surfaced by the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 6.0
+        for batch in stream:
+            apply_update_stream(db, [batch])
+            results = ([], [])
+            threads = [threading.Thread(target=read, args=(out,))
+                       for out in results]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert not errors, errors
+            expected = [certain_answers(oq, db, "compiled")
+                        for oq in queries]
+            assert results == (expected, expected)
+            if time.monotonic() > deadline:
+                break
+    finally:
+        sys.setswitchinterval(interval)

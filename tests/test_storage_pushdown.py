@@ -3,15 +3,15 @@
 The mirror must stay delta-consistent with its database (one
 transaction per changelog batch, clock + dictionary + active-domain
 refcounts recorded alongside), rebuild exactly when its recorded clock,
-format, or persisted dictionary diverges, and the ``prefer_sql`` gate
-must route to it only for persistent stores above the size threshold —
-``Adom*``-bearing plans included, served by the ``repro_adom`` table.
-A plain in-memory database gets a private ``:memory:`` mirror when
-``method="sql"`` asks for one.
+format, or persisted dictionary diverges, and serve every plan natively
+— ``Adom*``-bearing plans included, through the ``repro_adom`` table.
+``method="auto"`` never builds it; a plain in-memory database gets a
+private ``:memory:`` mirror when ``method="sql"`` asks for one.
 """
 
 from __future__ import annotations
 
+import random
 import types
 
 import pytest
@@ -21,7 +21,6 @@ from repro.core.parser import parse_query
 from repro.core.terms import Variable
 from repro.cqa.certain_answers import OpenQuery, certain_answers
 from repro.cqa.engine import CertaintyEngine
-from repro.fo.compile import plan_cache
 from repro.fo.plan import (
     AdomEq,
     AdomGuard,
@@ -33,14 +32,17 @@ from repro.fo.plan import (
     Scan,
     execute_plan,
 )
+from repro.columnar import columnar_stats
+from repro.columnar.executor import COLUMNAR_MIN_FACTS
 from repro.db.database import Database
 from repro.fo.sql import table_name
-from repro.workloads.queries import poll_qa
+from repro.obs import Tracer
+from repro.workloads import random_poll_database
+from repro.workloads.queries import poll_qa, poll_qb
 from repro.storage import (
     PersistentDatabase,
     mirror_capable,
     native_sql_answers,
-    prefer_sql,
     reset_storage_stats,
     sql_mirror,
     storage_stats,
@@ -229,57 +231,76 @@ class TestMirror:
 
 
 class TestRouting:
-    def compiled(self, db):
-        engine = CertaintyEngine(poll_qa())
-        return plan_cache.get_or_compile(engine.rewriting, db)
+    """``auto`` never pushes down: on a store above the columnar size
+    gate open queries run on columnar and sentences on the compiled
+    probe, and no mirror is built.  ``method="sql"`` still runs natively
+    on any database."""
 
-    def test_plain_database_never_routed(self, monkeypatch):
-        monkeypatch.setattr(pushdown, "SQL_MIN_FACTS", 0)
+    OPEN = ((poll_qa(), ("p",)), (poll_qa(), ("p", "t")),
+            (parse_query("Mayor(t | p)"), ("t",)))
+
+    def large_store(self, path):
+        source = random_poll_database(n_people=1200, n_towns=60,
+                                      rng=random.Random(1))
+        db = PersistentDatabase(path)
+        for schema in source.schemas.values():
+            db.add_relation(schema)
+        with db.batch():
+            for name in source.relations():
+                db.add_all(name, source.facts(name))
+        assert db.size() >= COLUMNAR_MIN_FACTS
+        return db
+
+    def assert_auto_skips_sql(self, db):
+        for query, names in self.OPEN:
+            oq = OpenQuery(query, [Variable(n) for n in names])
+            runs = columnar_stats()["runs"]
+            assert (certain_answers(oq, db, "auto")
+                    == certain_answers(oq, db, "compiled"))
+            assert columnar_stats()["runs"] == runs + 1
+        for query in (poll_qa(), poll_qb()):
+            engine = CertaintyEngine(query)
+            tracer = Tracer()
+            assert (engine.certain(db, "auto", tracer=tracer)
+                    == engine.certain(db, "compiled"))
+            assert tracer.roots[-1].tags["method"] == "compiled"
+        assert storage_stats()["pushdown"]["native_sql"] == 0
+        assert not (db.path / "mirror.sqlite").exists()
+        assert not hasattr(db, "_sql_mirror")
+
+    def test_auto_on_large_store_builds_no_mirror(self, tmp_path):
+        db = self.large_store(tmp_path / "store")
+        self.assert_auto_skips_sql(db)
+        with db.batch():
+            db.add("Lives", ("p-new", "t0"))
+            db.discard("Likes", next(iter(db.facts("Likes"))))
+        self.assert_auto_skips_sql(db)
+        db.close()
+
+    def test_plain_database_never_routed(self):
         db = Database()
         for schema in POLL_SCHEMAS:
             db.add_relation(schema)
         db.add("Lives", ("p", "t"))
-        compiled = self.compiled(db)
         assert not mirror_capable(db)
-        assert not prefer_sql(compiled, db)
-        assert storage_stats()["pushdown"]["native_sql"] == 0
-        # method="sql" still works, through a private in-memory mirror.
+        # method="sql" works through a private in-memory mirror.
         engine = CertaintyEngine(poll_qa())
         assert engine.certain(db, "sql") == engine.certain(db, "compiled")
         assert storage_stats()["pushdown"]["native_sql"] == 1
         assert str(sql_mirror(db).path) == ":memory:"
 
-    def test_small_store_falls_back(self, tmp_path):
-        db = make_poll_store(tmp_path / "store")
-        db.add("Lives", ("p", "t"))
-        assert not prefer_sql(self.compiled(db), db)
-        assert storage_stats()["pushdown"]["fallback_small"] == 1
-        db.close()
-
-    def test_threshold_routes(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(pushdown, "SQL_MIN_FACTS", 2)
-        db = make_poll_store(tmp_path / "store")
-        db.add("Lives", ("p", "t"))
-        assert not prefer_sql(self.compiled(db), db)
-        db.add("Lives", ("q", "u"))
-        assert prefer_sql(self.compiled(db), db)
-        db.close()
-
-    def test_adom_plans_route(self, tmp_path, monkeypatch):
+    def test_adom_plans_run_natively(self, tmp_path):
         # Adom*-bearing plans are served by the maintained repro_adom
         # table instead of forcing the in-memory executors.
-        monkeypatch.setattr(pushdown, "SQL_MIN_FACTS", 0)
         db = make_store(tmp_path / "store")
         db.add("R", ("a", "1"))
         compiled = fake_compiled(Project(AdomProduct((x,)), (x,)))
-        assert prefer_sql(compiled, db)
         assert native_sql_answers(compiled, db) == {("a",), ("1",)}
         db.close()
 
-    def test_unknown_plan_raises(self, tmp_path, monkeypatch):
+    def test_unknown_plan_raises(self, tmp_path):
         # No plan-support gate and no fallback: an unknown node type
         # reaches the compiler and fails loudly, counting no native run.
-        monkeypatch.setattr(pushdown, "SQL_MIN_FACTS", 0)
         db = make_store(tmp_path / "store")
         db.add("R", ("a", "1"))
 
@@ -290,7 +311,6 @@ class TestRouting:
                 super().__init__((x,))
 
         compiled = fake_compiled(OpaquePlan())
-        assert prefer_sql(compiled, db)
         with pytest.raises(PlanError, match="no SQL translation"):
             native_sql_answers(compiled, db)
         assert storage_stats()["pushdown"]["native_sql"] == 0
@@ -398,13 +418,13 @@ class TestEndToEnd:
         assert storage_stats()["pushdown"]["native_sql"] >= 1
         db.close()
 
-    def test_auto_routes_to_sql_above_threshold(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(pushdown, "SQL_MIN_FACTS", 2)
+    def test_auto_matches_compiled_without_sql(self, tmp_path):
         db = make_poll_store(tmp_path / "store")
         self.seed_poll(db)
         engine = CertaintyEngine(poll_qa())
         expected = engine.certain(db, "compiled")
         assert engine.certain(db, "auto") == expected
+        assert storage_stats()["pushdown"]["native_sql"] == 0
         db.close()
 
     def test_mirror_answers_track_updates(self, tmp_path):
