@@ -436,12 +436,11 @@ def check_columnar_decode(
 def check_wal_compaction(
     info: RuleInfo, ctx: AnalysisContext
 ) -> Iterator[Diagnostic]:
-    from ..storage.pushdown import mirror_capable
-    from ..storage.store import checkpoint_threshold_bytes
+    from ..storage.store import PersistentDatabase, checkpoint_threshold_bytes
 
-    if ctx.db is None or not mirror_capable(ctx.db):
+    if not (isinstance(ctx.db, PersistentDatabase) and ctx.db.is_open):
         return
-    status = ctx.db.storage_status()  # type: ignore[attr-defined]
+    status = ctx.db.storage_status()
     threshold = checkpoint_threshold_bytes()
     wal_bytes = int(status["wal_bytes"])
     if wal_bytes < threshold:

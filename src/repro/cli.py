@@ -41,6 +41,7 @@ from .lint import LintError, lint_text
 from .obs import (
     ExecutionOptions,
     PlanProfile,
+    Tracer,
     collect_metrics,
     profile_tree,
     render_profile,
@@ -61,8 +62,8 @@ def _load_db(args: argparse.Namespace, required: bool = True):
 
     ``--db`` loads a JSON snapshot into memory (the historical path);
     ``--db-path`` opens a durable store (:mod:`repro.storage`) whose
-    facts, registered views, and sqlite mirror survive between
-    invocations.  The caller must pass the result to :func:`_close_db`.
+    facts and registered views survive between invocations.  The
+    caller must pass the result to :func:`_close_db`.
     """
     db_path = getattr(args, "db_path", None)
     db_file = getattr(args, "db", None)
@@ -284,7 +285,6 @@ def _execution_options(args: argparse.Namespace) -> ExecutionOptions:
     return ExecutionOptions.from_env(
         method=method,
         jobs=args.jobs if method == "parallel" else None,
-        trace=args.trace,
         trace_file=args.trace_out,
     )
 
@@ -337,7 +337,7 @@ def cmd_certain(args: argparse.Namespace) -> int:
     query = _parse_query_arg(args.query)
     options = _execution_options(args)
     method = options.method
-    tracer = options.make_tracer()
+    tracer = Tracer() if args.trace else options.make_tracer()
     db = _load_db(args)
     try:
         engine = CertaintyEngine(query)
@@ -364,7 +364,7 @@ def cmd_answers(args: argparse.Namespace) -> int:
     query = _parse_query_arg(args.query)
     options = _execution_options(args)
     method = options.method
-    tracer = options.make_tracer()
+    tracer = Tracer() if args.trace else options.make_tracer()
     free = [Variable(name.strip()) for name in args.free.split(",") if name.strip()]
     open_query = OpenQuery(query, free)
     db = _load_db(args)
@@ -738,64 +738,6 @@ def cmd_db_verify(args: argparse.Namespace) -> int:
     return 0 if report["ok"] else 1
 
 
-def cmd_db_stats(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .storage import StorageError, open_database, sql_mirror
-    from .storage.pushdown import MIRROR_FILE
-    from .storage.stats import storage_stats
-
-    try:
-        store = open_database(args.path)
-    except StorageError as exc:
-        raise SystemExit(f"error: {exc}")
-    try:
-        status = store.storage_status()
-        # Only an existing mirror is attached: building one here would
-        # make every store pay for a backend only method="sql" uses.
-        mirror = None
-        if (store.path / MIRROR_FILE).exists():
-            mirror = sql_mirror(store).stats()
-        report = {
-            "store": {"path": status["path"], "clock": status["clock"],
-                      "facts": status["facts"],
-                      "relations": status["relations"]},
-            "mirror": mirror,
-            "pushdown": storage_stats()["pushdown"],
-        }
-    finally:
-        store.close()
-    if args.json:
-        print(_json.dumps(report, indent=2, default=str))
-        return 0
-    print(f"store:  {report['store']['path']} "
-          f"(clock {report['store']['clock']}, "
-          f"{report['store']['facts']} facts)")
-    if mirror is None:
-        print('mirror: none (built by the first method="sql" call)')
-    else:
-        in_sync = mirror["clock"] == report["store"]["clock"]
-        print(f"mirror: format {mirror['format']}, "
-              f"clock {mirror['clock']} "
-              f"({'in sync' if in_sync else 'STALE'}), "
-              f"{mirror['dictionary_codes']} dictionary code(s), "
-              f"{mirror['adom_values']} active-domain value(s)")
-        for name, info in mirror["tables"].items():
-            print(f"  table {name}: {info['rows']} row(s), "
-                  f"{info['indexes']} index(es)")
-        cache = mirror["stmt_cache"]
-        rate = ("n/a" if cache["hit_rate"] is None
-                else f"{cache['hit_rate']:.2%}")
-        print(f"statement cache: {cache['entries']}/{cache['capacity']} "
-              f"entries, {cache['hits']} hit(s), {cache['misses']} "
-              f"miss(es), hit rate {rate}")
-    pd = report["pushdown"]
-    print(f"pushdown: {pd['native_sql']} native, "
-          f"{pd['mirror_rebuilds']} rebuild(s), "
-          f"{pd['mirror_delta_rows']} delta row(s)")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1042,15 +984,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--json", action="store_true",
                    help="emit the verification report as JSON")
     q.set_defaults(func=cmd_db_verify)
-
-    q = dbsub.add_parser("stats",
-                         help="attach the SQL-pushdown mirror and print "
-                              "its vitals: clock sync, per-table row and "
-                              "index counts, statement-cache hit rate")
-    q.add_argument("path")
-    q.add_argument("--json", action="store_true",
-                   help="emit the stats report as JSON")
-    q.set_defaults(func=cmd_db_stats)
 
     return parser
 

@@ -12,7 +12,7 @@ whole invalidation story (the bug class this module exists to close):
 * The :class:`ValueDictionary` is **append-only and never invalidated**.
   A code, once assigned, means the same value forever — deleting the
   value from the database merely leaves its code unused.  Append-only
-  is what lets other code layers hold codes: the SQL mirror persists
+  is what lets other code layers hold codes: the SQL mirror stores
   them (:mod:`repro.storage.pushdown`), and cached scan batches stay
   decodable however much the dictionary grows.
 * The **encoded relation columns and scan results are version-tagged

@@ -29,10 +29,9 @@ Strategies (the ``method`` of :class:`repro.obs.ExecutionOptions`):
     (:mod:`repro.columnar`); sentences keep the row executor's probe
     (a delegation counted in the columnar stats).
 ``sql``
-    Run the same plan as one SELECT inside the database's sqlite
-    mirror (:mod:`repro.storage.pushdown`): a persistent store's
-    ``mirror.sqlite``, or a private in-memory mirror attached to any
-    other database on first use.
+    Run the same plan as one SELECT inside the database's in-memory
+    sqlite mirror (:mod:`repro.storage.pushdown`), built on the first
+    ``sql`` call in a process and kept in step with every commit.
 ``parallel``
     Split the database into block-preserving shards and run the
     compiled plan on every shard in a forked worker pool
@@ -374,10 +373,9 @@ def certain_answers(
     ``tracer`` (a :class:`repro.obs.Tracer`) records phase spans and,
     for the plan-executing methods, a per-operator
     :class:`repro.obs.PlanProfile` attached via ``tracer.add_profile``;
-    without an explicit tracer, the options' ``trace`` / ``trace_file``
-    fields create (and flush) one.  Tracing never changes the answers —
-    the parity tests in ``tests/test_obs.py`` pin that down for every
-    method.
+    without an explicit tracer, the options' ``trace_file`` creates (and
+    flushes) one.  Tracing never changes the answers — the parity tests
+    in ``tests/test_obs.py`` pin that down for every method.
     """
     opts = ExecutionOptions.coerce(options)
     tracer, own = open_tracer(opts, tracer)

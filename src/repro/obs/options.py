@@ -1,8 +1,8 @@
 """``ExecutionOptions``: one frozen request object for every engine call.
 
-Four fields — ``method``, ``jobs``, ``trace`` and ``trace_file`` — are
-the whole call surface; the routing gates behind ``auto`` are module
-constants next to the router that reads them.  A strict JSON
+Three fields — ``method``, ``jobs`` and ``trace_file`` — are the whole
+call surface; the routing gates behind ``auto`` are module constants
+next to the router that reads them.  A strict JSON
 round-trip (:meth:`to_dict` / :meth:`from_dict`) makes the same object
 the wire form of a ``repro serve`` request body
 (``docs/serve.schema.json``).
@@ -12,7 +12,8 @@ Accepted by :meth:`repro.cqa.engine.CertaintyEngine.certain`,
 module-level :func:`repro.cqa.certain_answers.certain_answers` as the
 ``options`` parameter, which also takes a bare method string
 (``"compiled"``) as blessed shorthand.  It is the only way to pass a
-method, a worker count or a trace request to those calls.
+method, a worker count or a trace file to those calls; a caller that
+wants to read spans passes its own ``tracer=``.
 """
 
 from __future__ import annotations
@@ -47,22 +48,21 @@ class ExecutionOptions:
 
     ``method``
         Strategy name, or ``"auto"`` for complexity-based routing
-        (compiled when the query is in FO, upgraded to ``sql`` /
-        ``columnar`` when their routers say the backend pays off,
-        ``brute`` otherwise).  ``auto`` plus ``jobs`` selects
-        ``parallel``, mirroring the CLI's ``--jobs`` semantics.
+        (``brute`` outside FO; otherwise ``columnar`` for an open query
+        on a database of at least ``COLUMNAR_MIN_FACTS`` facts whose
+        plan has no ``Adom*`` node, ``compiled`` for everything else;
+        never ``sql``).  ``auto`` plus ``jobs`` selects ``parallel``,
+        mirroring the CLI's ``--jobs`` semantics.
     ``jobs``
         Worker count for the parallel path (None: CPU count).
-    ``trace`` / ``trace_file``
-        Collect spans and per-operator profiles; ``trace_file``
-        additionally appends span JSONL after the call (and implies
-        ``trace``).  When the caller passes no explicit ``tracer=``,
-        the engine creates and flushes one from these fields.
+    ``trace_file``
+        Collect spans and per-operator profiles and append them as
+        span JSONL to this file after the call.  When the caller passes
+        no explicit ``tracer=``, the engine creates and flushes one.
     """
 
     method: str = "auto"
     jobs: Optional[int] = None
-    trace: bool = False
     trace_file: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -76,8 +76,6 @@ class ExecutionOptions:
             or self.jobs < 1
         ):
             raise OptionsError("jobs must be a positive integer")
-        if not isinstance(self.trace, bool):
-            raise OptionsError("trace must be a boolean")
         if self.trace_file is not None and not isinstance(self.trace_file, str):
             raise OptionsError("trace_file must be a string")
         if self.jobs is not None and self.method not in ("auto", "parallel"):
@@ -173,9 +171,9 @@ class ExecutionOptions:
     def resolved_method(self) -> str:
         """``method`` with the ``auto`` + ``jobs`` shorthand applied.
 
-        Data-dependent ``auto`` routing (SQL pushdown, columnar cost
-        model) still happens inside the engine; this only settles the
-        part that is knowable without a database.
+        Data-dependent ``auto`` routing (the FO test and the columnar
+        size gate) still happens inside the engine; this only settles
+        the part that is knowable without a database.
         """
         if self.method == "auto" and self.jobs is not None:
             return "parallel"
@@ -183,8 +181,8 @@ class ExecutionOptions:
 
     @property
     def tracing(self) -> bool:
-        """Is tracing requested (explicitly or via a trace file)?"""
-        return self.trace or self.trace_file is not None
+        """Is tracing requested (by a trace file)?"""
+        return self.trace_file is not None
 
     def make_tracer(self) -> Optional[Any]:
         """A fresh :class:`~repro.obs.trace.Tracer` when tracing is on."""
@@ -201,8 +199,8 @@ def open_tracer(
     """The tracer an engine call should run under.
 
     An explicit ``tracer=`` always wins (the caller owns it); otherwise
-    the options' ``trace`` / ``trace_file`` fields create one the
-    engine owns — flushed by :func:`close_tracer` on the way out.
+    the options' ``trace_file`` creates one the engine owns — flushed
+    by :func:`close_tracer` on the way out.
     Returns ``(tracer_or_None, engine_owns_it)``.
     """
     if tracer is not None:

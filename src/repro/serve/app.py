@@ -62,6 +62,7 @@ from ..obs.metrics import collect_metrics
 from ..obs.options import ExecutionOptions, OptionsError
 from ..obs.trace import Tracer
 from ..parallel import admission_slots, release_database
+from ..storage.store import write_manifest
 from .http import HttpError, Request, json_body, read_request, response_bytes
 from .protocol import (
     SCHEMA_VERSION,
@@ -172,14 +173,12 @@ def _free_field(body: Dict[str, Any]) -> Tuple[str, ...]:
 
 def _options_field(body: Dict[str, Any]) -> ExecutionOptions:
     raw = body.get("options")
-    if isinstance(raw, dict):
-        for banned in ("trace", "trace_file"):
-            if banned in raw:
-                raise HttpError(
-                    400, "bad-options",
-                    f"option {banned!r} is not accepted over the wire; "
-                    "tracing is configured server-side via --trace-out",
-                )
+    if isinstance(raw, dict) and "trace_file" in raw:
+        raise HttpError(
+            400, "bad-options",
+            "option 'trace_file' is not accepted over the wire; "
+            "tracing is configured server-side via --trace-out",
+        )
     try:
         return ExecutionOptions.coerce(raw)
     except OptionsError as exc:
@@ -788,10 +787,7 @@ class ReproServer:
         path = self._serve_views_path()
         if path is None:
             return
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps({"views": self._view_specs}, indent=2,
-                                  sort_keys=True) + "\n")
-        os.replace(tmp, path)
+        write_manifest(path, {"views": self._view_specs})
 
     def _load_named_views(self) -> None:
         path = self._serve_views_path()

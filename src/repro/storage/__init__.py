@@ -6,9 +6,9 @@ written ahead to a CRC-framed, fsynced WAL (:mod:`repro.storage.wal`),
 checkpoints compact the log into atomic snapshots
 (:mod:`repro.storage.snapshot`), recovery replays the consistent prefix
 (:mod:`repro.storage.store`), and ``method="sql"`` pushes compiled
-first-order rewritings down to a delta-maintained sqlite mirror
-(:mod:`repro.storage.pushdown`).  :mod:`repro.storage.chaos` is the
-kill-9 harness that keeps the durability claim honest.
+first-order rewritings down to a delta-maintained in-memory sqlite
+mirror (:mod:`repro.storage.pushdown`).  :mod:`repro.storage.chaos` is
+the kill-9 harness that keeps the durability claim honest.
 
 See ``docs/STORAGE.md`` for the file formats and recovery protocol.
 """
@@ -17,7 +17,6 @@ from .chaos import run_chaos
 from .pushdown import (
     SQL_STMT_CACHE_SIZE,
     SQLiteMirror,
-    mirror_capable,
     native_sql_answers,
     native_sql_holds,
     prefer_sql,
@@ -56,7 +55,6 @@ __all__ = [
     "wal_sync_mode",
     "SQLiteMirror",
     "sql_mirror",
-    "mirror_capable",
     "native_sql_answers",
     "native_sql_holds",
     "prefer_sql",

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..columnar.dictionary import ValueDictionary
 from ..core.atoms import RelationSchema
-from .wal import CRASH_EXIT_CODE
+from .wal import CRASH_EXIT_CODE, _fsync_directory
 
 try:
     from zlib import crc32
@@ -177,14 +177,6 @@ def write_snapshot(directory: pathlib.Path, clock: int,
     if crash == "after-rename":
         _crash_now()
     return len(header) + len(payload)
-
-
-def _fsync_directory(directory: pathlib.Path) -> None:
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def read_snapshot(path: pathlib.Path) -> Tuple[int, List[RelationSchema],

@@ -9,7 +9,10 @@ directory::
       snapshot-<clock>.snap   # atomic relation image (repro.storage.snapshot)
       wal-<base>.log          # records with LSN > base (repro.storage.wal)
       views.json              # registered-view manifest (re-registered on open)
-      mirror.sqlite           # SQL-pushdown mirror (repro.storage.pushdown)
+
+The SQL-pushdown mirror (:mod:`repro.storage.pushdown`) is not part of
+it: ``method="sql"`` builds an in-memory copy on its first call in a
+process and keeps it in step through the changelog.
 
 Durability protocol
 -------------------
@@ -59,6 +62,7 @@ from .stats import STATS
 from .wal import (
     HEADER_SIZE,
     WalWriter,
+    _fsync_directory,
     list_segments,
     scan_wal,
     segment_base,
@@ -84,6 +88,18 @@ def checkpoint_threshold_bytes() -> int:
 
 class StorageError(RuntimeError):
     """Raised on unusable store directories or closed-store misuse."""
+
+
+def write_manifest(path: pathlib.Path, document: Dict[str, Any]) -> None:
+    """Durably replace the JSON file ``path`` with ``document``: write
+    and fsync a temp file, rename it over ``path``, fsync the directory."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as fp:
+        fp.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        fp.flush()
+        os.fsync(fp.fileno())
+    os.replace(tmp, path)
+    _fsync_directory(path.parent)
 
 
 # ----------------------------------------------------------------------
@@ -230,8 +246,8 @@ class PersistentDatabase(Database):
         # attached columnar store: its version-tagged scan caches are
         # meaningless against the recovered version counters (the
         # discard_all/replay regression in tests/test_storage_store.py).
-        # A closed store queried with method="sql" got a private
-        # in-memory mirror; the file mirror replaces it after reopen.
+        # A closed store queried with method="sql" got a mirror of its
+        # old facts; drop it so the next sql call builds a fresh one.
         Database.__init__(self)
         if hasattr(self, "_columnar_store"):
             delattr(self, "_columnar_store")
@@ -474,10 +490,7 @@ class PersistentDatabase(Database):
         return self.path / _VIEWS_FILE
 
     def _write_views_manifest(self) -> None:
-        tmp = self.path / (_VIEWS_FILE + ".tmp")
-        tmp.write_text(json.dumps({"views": self._view_specs}, indent=2,
-                                  sort_keys=True) + "\n")
-        os.rename(tmp, self._views_path())
+        write_manifest(self._views_path(), {"views": self._view_specs})
 
     def _load_views(self) -> None:
         from ..incremental import view_manager

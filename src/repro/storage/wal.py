@@ -203,6 +203,14 @@ def scan_wal(path: pathlib.Path) -> Tuple[int, List[Tuple[Any, ...]], int, Optio
 # ----------------------------------------------------------------------
 
 
+def _fsync_directory(directory: pathlib.Path) -> None:
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class WalWriter:
     """Appends framed records to one segment, fsyncing per ``sync``."""
 
@@ -244,6 +252,9 @@ class WalWriter:
         writer = cls(path, base, fp, 0, sync)
         writer._write(_HEADER.pack(MAGIC, base))
         writer._flush(force=True)
+        # Records acknowledged in this segment are durable only once
+        # its directory entry is.
+        _fsync_directory(directory)
         return writer, records
 
     def _write(self, data: bytes) -> None:

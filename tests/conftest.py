@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import pathlib
 import random
 
 # Every plan the suites compile runs the PV001-PV013 verifier
@@ -29,6 +30,54 @@ settings.register_profile(
 )
 settings.register_profile("dev", deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+class FsyncSpy:
+    """Records, in call order, every ``os.fsync`` and every
+    ``os.rename`` / ``os.replace``, each keyed by the inode it touched,
+    so a test can check a file's durability steps without a crash."""
+
+    def __init__(self, monkeypatch):
+        self.events = []
+        fsync = os.fsync
+
+        def spy_fsync(fd):
+            self.events.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def spy_move(move):
+            def wrapper(src, dst, *args, **kwargs):
+                self.events.append(("rename", os.stat(src).st_ino))
+                move(src, dst, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "rename", spy_move(os.rename))
+        monkeypatch.setattr(os, "replace", spy_move(os.replace))
+
+    def directory_syncs(self, directory) -> int:
+        return self.events.count(("fsync", os.stat(directory).st_ino))
+
+    def assert_durable(self, path) -> None:
+        """``path`` was fsynced, then renamed into place (if it was
+        renamed at all), and only then was its directory fsynced."""
+        path = pathlib.Path(path)
+        synced = ("fsync", path.stat().st_ino)
+        moved = ("rename", path.stat().st_ino)
+        dir_synced = ("fsync", path.parent.stat().st_ino)
+        assert synced in self.events, f"{path.name} was never fsynced"
+        after = self.events[self.events.index(synced):]
+        if moved in self.events:
+            assert moved in after, f"{path.name} renamed before its fsync"
+            after = after[after.index(moved):]
+        assert dir_synced in after, (
+            f"{path.parent.name}/ not fsynced after {path.name}")
+
+
+@pytest.fixture
+def fsync_spy(monkeypatch):
+    """An :class:`FsyncSpy` installed for one test."""
+    return FsyncSpy(monkeypatch)
 
 
 @pytest.fixture

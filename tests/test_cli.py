@@ -8,7 +8,7 @@ import pytest
 from repro.cli import main
 from repro.columnar.executor import COLUMNAR_MIN_FACTS
 from repro.db.io import save_database
-from repro.storage import reset_storage_stats
+from repro.storage import reset_storage_stats, storage_stats
 from repro.workloads.poll import (
     paper_flavoured_poll_database,
     random_poll_database,
@@ -269,54 +269,35 @@ class TestDbCommands:
         out = capsys.readouterr().out
         assert "verdict: ok" in out and "integrity:" in out
 
-    def test_stats_text_and_json(self, capsys, poll_file, tmp_path):
-        store = str(tmp_path / "store")
-        assert main(["db", "init", store, "--from", poll_file]) == 0
-        capsys.readouterr()
-        # Run a query through the store so the statement cache warms up.
-        assert main(["certain", QA, "--db-path", store,
-                     "--method", "sql"]) == 0
-        capsys.readouterr()
-
-        assert main(["db", "stats", store]) == 0
-        out = capsys.readouterr().out
-        assert "in sync" in out
-        assert "statement cache:" in out
-        assert "pushdown:" in out
-
-        assert main(["db", "stats", store, "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["mirror"]["clock"] == report["store"]["clock"]
-        assert report["mirror"]["format"] == "2"
-        tables = report["mirror"]["tables"]
-        assert sum(info["rows"] for info in tables.values()) > 0
-        # Tables with non-key columns carry the suffix index.
-        assert any(info["indexes"] >= 1 for info in tables.values())
-        assert report["pushdown"]["native_sql"] >= 1
-
     def test_auto_and_stats_build_no_mirror(self, capsys, tmp_path):
-        # Above the columnar size gate auto reads skip SQL, and stats
-        # reports the missing mirror instead of building one.
+        # Above the columnar size gate auto reads skip SQL; --method sql
+        # then answers the same from an in-memory mirror, and neither
+        # leaves a mirror file in the store.
         reset_storage_stats()
         source = tmp_path / "poll.json"
-        save_database(random_poll_database(n_people=1200, n_towns=60,
-                                           rng=random.Random(1)), source)
+        db = random_poll_database(n_people=1200, n_towns=60,
+                                  rng=random.Random(1))
+        assert db.size() >= COLUMNAR_MIN_FACTS
+        save_database(db, source)
         store = tmp_path / "store"
         assert main(["db", "init", str(store), "--from", str(source)]) == 0
+        capsys.readouterr()
         assert main(["answers", QA, "--free", "p",
                      "--db-path", str(store)]) == 0
-        capsys.readouterr()
+        auto = capsys.readouterr().out
+        assert storage_stats()["pushdown"]["native_sql"] == 0
         assert not (store / "mirror.sqlite").exists()
 
-        assert main(["db", "stats", str(store)]) == 0
-        out = capsys.readouterr().out
-        assert 'mirror: none (built by the first method="sql" call)' in out
-        assert "pushdown: 0 native" in out
-        assert main(["db", "stats", str(store), "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["mirror"] is None
-        assert report["store"]["facts"] >= COLUMNAR_MIN_FACTS
+        assert main(["answers", QA, "--free", "p", "--db-path", str(store),
+                     "--method", "sql"]) == 0
+        assert capsys.readouterr().out == auto
+        assert storage_stats()["pushdown"]["native_sql"] == 1
         assert not (store / "mirror.sqlite").exists()
+
+    def test_db_stats_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["db", "stats", str(tmp_path / "store")])
+        assert exc.value.code == 2
 
     def test_init_refuses_existing_store(self, capsys, tmp_path):
         store = str(tmp_path / "store")

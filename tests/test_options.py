@@ -2,7 +2,7 @@
 
 The same frozen dataclass travels two ways — positionally into
 ``certain``/``certain_answers`` and as the JSON body of a ``repro serve``
-request — so these tests pin its four fields, validation, coercion,
+request — so these tests pin its three fields, validation, coercion,
 wire round-trip, the ``REPRO_TRACE_FILE`` env fallback, and that it is
 the engine's only way in: the old ``method=``/``jobs=``/``config=``
 keywords are gone.
@@ -25,13 +25,13 @@ from repro.obs import ExecutionOptions, OptionsError, Tracer
 class TestConstruction:
     def test_exactly_four_fields(self):
         names = [f.name for f in dataclasses.fields(ExecutionOptions)]
-        assert names == ["method", "jobs", "trace", "trace_file"]
+        assert names == ["method", "jobs", "trace_file"]
 
     def test_defaults(self):
         opts = ExecutionOptions()
         assert opts.method == "auto"
         assert opts.jobs is None
-        assert opts.trace is False
+        assert opts.trace_file is None
         assert opts.resolved_method == "auto"
 
     def test_frozen(self):
@@ -91,6 +91,12 @@ class TestCoercion:
         with pytest.raises(OptionsError, match="unknown option field"):
             ExecutionOptions.from_dict({"method": "auto", knob: 1})
 
+    def test_trace_flag_is_an_unknown_key(self):
+        # A tracer the engine makes for itself is unreadable by the
+        # caller, so tracing without a trace file means passing tracer=.
+        with pytest.raises(OptionsError, match="unknown option field"):
+            ExecutionOptions.from_dict({"trace": True})
+
     def test_other_types_rejected(self):
         with pytest.raises((TypeError, OptionsError)):
             ExecutionOptions.coerce(42)  # type: ignore[arg-type]
@@ -101,7 +107,7 @@ class TestWireRoundTrip:
         assert ExecutionOptions().to_dict() == {"method": "auto"}
 
     def test_round_trip_preserves_everything(self):
-        opts = ExecutionOptions(method="parallel", jobs=4, trace=True,
+        opts = ExecutionOptions(method="parallel", jobs=4,
                                 trace_file="spans.jsonl")
         assert ExecutionOptions.from_dict(opts.to_dict()) == opts
 
@@ -131,7 +137,7 @@ class TestFromEnv:
         assert ExecutionOptions.from_env(trace_file="cli.jsonl").trace_file \
             == "cli.jsonl"
         # A None override keeps the env-derived value.
-        opts = ExecutionOptions.from_env(trace_file=None, trace=True)
+        opts = ExecutionOptions.from_env(trace_file=None)
         assert opts.trace_file == "env.jsonl"
         assert isinstance(opts.make_tracer(), Tracer)
 

@@ -361,6 +361,18 @@ class TestPersistence:
             assert [v["name"] for v in listing["views"]] == ["durable"]
             assert listing["views"][0]["digest"] == digest
 
+    def test_named_view_manifest_is_durable(self, tmp_path, fsync_spy):
+        store_path = tmp_path / "store"
+        with PersistentDatabase(store_path) as store:
+            store.add_relation(RelationSchema("P", 2, 1))
+            store.add_relation(RelationSchema("N", 2, 1))
+        with ServerHandle(PersistentDatabase(store_path)) as handle:
+            fsync_spy.events.clear()
+            status, _ = handle.post("/v1/views", {
+                "name": "durable", "query": FO_QUERY, "free": ["x"]})
+            assert status == 200
+            fsync_spy.assert_durable(store_path / "serve_views.json")
+
     def test_writes_survive_restart(self, tmp_path):
         store_path = tmp_path / "store"
         PersistentDatabase(store_path).close()

@@ -1,12 +1,11 @@
 """SQL pushdown: the integer-encoded mirror and the routing gate.
 
-The mirror must stay delta-consistent with its database (one
-transaction per changelog batch, clock + dictionary + active-domain
-refcounts recorded alongside), rebuild exactly when its recorded clock,
-format, or persisted dictionary diverges, and serve every plan natively
-— ``Adom*``-bearing plans included, through the ``repro_adom`` table.
-``method="auto"`` never builds it; a plain in-memory database gets a
-private ``:memory:`` mirror when ``method="sql"`` asks for one.
+The mirror is built once per database per process, in memory, then
+must stay delta-consistent with its database (one transaction per
+changelog batch, active-domain refcounts updated alongside) and serve
+every plan natively — ``Adom*``-bearing plans included, through the
+``repro_adom`` table.  ``method="auto"`` never builds it, and a store
+never writes it to disk.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from repro.workloads import random_poll_database
 from repro.workloads.queries import poll_qa, poll_qb
 from repro.storage import (
     PersistentDatabase,
-    mirror_capable,
     native_sql_answers,
     reset_storage_stats,
     sql_mirror,
@@ -115,7 +113,6 @@ class TestMirror:
             db.add("S", ("8", "y"))
         assert mirror_rows(mirror, "R") == {("b", "2"), ("c", "3")}
         assert mirror_rows(mirror, "S") == {("9", "z"), ("8", "y")}
-        assert mirror.clock == db.clock
         # Deltas, not rebuilds, carried all of that.
         assert storage_stats()["pushdown"]["mirror_rebuilds"] == 1
         db.close()
@@ -133,74 +130,6 @@ class TestMirror:
         db.discard("R", ("a", "2"))
         assert adom_values(mirror) == {"1", "z"}
         db.close()
-
-    def test_reattach_at_matching_clock_skips_rebuild(self, tmp_path):
-        db = make_store(tmp_path / "store")
-        db.add("R", ("a", "1"))
-        sql_mirror(db)
-        db.close()
-        reset_storage_stats()
-
-        # A fresh process has an empty in-process dictionary; the
-        # persisted repro_dict replays into it code-for-code, so the
-        # integer columns stay meaningful without a rebuild.
-        db2 = PersistentDatabase(tmp_path / "store")
-        mirror = sql_mirror(db2)
-        assert storage_stats()["pushdown"]["mirror_rebuilds"] == 0
-        assert mirror_rows(mirror, "R") == {("a", "1")}
-        db2.close()
-
-    def test_diverged_dictionary_rebuilds(self, tmp_path):
-        db = make_store(tmp_path / "store")
-        db.add_all("R", [("a", "1"), ("b", "2")])
-        sql_mirror(db)
-        db.close()
-        reset_storage_stats()
-
-        db2 = PersistentDatabase(tmp_path / "store")
-        # Prime the in-process dictionary in a different first-seen
-        # order than the persisted one before the mirror attaches.
-        from repro.columnar.dictionary import columnar_store
-
-        columnar_store(db2).dictionary.encode("something-new")
-        mirror = sql_mirror(db2)
-        assert storage_stats()["pushdown"]["mirror_rebuilds"] == 1
-        assert mirror_rows(mirror, "R") == {("a", "1"), ("b", "2")}
-        db2.close()
-
-    def test_stale_mirror_rebuilds(self, tmp_path):
-        db = make_store(tmp_path / "store")
-        db.add("R", ("a", "1"))
-        sql_mirror(db)
-        db.close()
-        # Mutate without attaching the mirror: its clock goes stale.
-        db2 = PersistentDatabase(tmp_path / "store")
-        db2.add("R", ("b", "2"))
-        db2.close()
-        reset_storage_stats()
-
-        db3 = PersistentDatabase(tmp_path / "store")
-        mirror = sql_mirror(db3)
-        assert storage_stats()["pushdown"]["mirror_rebuilds"] == 1
-        assert mirror_rows(mirror, "R") == {("a", "1"), ("b", "2")}
-        db3.close()
-
-    def test_old_text_mirror_format_rebuilds(self, tmp_path):
-        db = make_store(tmp_path / "store")
-        db.add("R", ("a", "1"))
-        mirror = sql_mirror(db)
-        # Forge a pre-integer mirror: wrong format marker, same clock.
-        mirror.conn.execute(
-            "INSERT OR REPLACE INTO repro_meta VALUES ('format', '1')")
-        mirror.conn.commit()
-        db.close()
-        reset_storage_stats()
-
-        db2 = PersistentDatabase(tmp_path / "store")
-        mirror2 = sql_mirror(db2)
-        assert storage_stats()["pushdown"]["mirror_rebuilds"] == 1
-        assert mirror_rows(mirror2, "R") == {("a", "1")}
-        db2.close()
 
     def test_tables_are_integer_with_indexes(self, tmp_path):
         db = make_store(tmp_path / "store")
@@ -282,12 +211,10 @@ class TestRouting:
         for schema in POLL_SCHEMAS:
             db.add_relation(schema)
         db.add("Lives", ("p", "t"))
-        assert not mirror_capable(db)
         # method="sql" works through a private in-memory mirror.
         engine = CertaintyEngine(poll_qa())
         assert engine.certain(db, "sql") == engine.certain(db, "compiled")
         assert storage_stats()["pushdown"]["native_sql"] == 1
-        assert str(sql_mirror(db).path) == ":memory:"
 
     def test_adom_plans_run_natively(self, tmp_path):
         # Adom*-bearing plans are served by the maintained repro_adom
@@ -398,10 +325,10 @@ class TestEndToEnd:
         oq = OpenQuery(parse_query(QUERY), [Variable("x")])
         assert (certain_answers(oq, db, "sql")
                 == certain_answers(oq, db, "compiled"))
-        # The sql run ran natively inside the store's file mirror.
+        # The sql run ran natively, in a mirror that never touches disk.
         stats = storage_stats()["pushdown"]
         assert stats["native_sql"] >= 1
-        assert sql_mirror(db).path.name == "mirror.sqlite"
+        assert not (db.path / "mirror.sqlite").exists()
         db.close()
 
     def seed_poll(self, db):
@@ -438,6 +365,38 @@ class TestEndToEnd:
                 == certain_answers(oq, db, "compiled"))
         db.close()
 
+    def test_store_lifecycle_leaves_no_mirror_file(self, tmp_path):
+        # The mirror lives in memory only: commits, a checkpoint and a
+        # close/reopen keep sql equal to compiled, the reopened store
+        # builds one fresh mirror, and the directory never holds one.
+        db = make_store(tmp_path / "store")
+        self.seed(db)
+        oq = OpenQuery(parse_query(QUERY), [Variable("x")])
+
+        def check():
+            assert (certain_answers(oq, db, "sql")
+                    == certain_answers(oq, db, "compiled"))
+            assert not (db.path / "mirror.sqlite").exists()
+
+        check()
+        with db.batch():
+            db.add("S", ("2", "a"))
+            db.discard("S", ("1", "b"))
+        db.add("R", ("e", "5"))
+        check()
+        db.checkpoint()
+        db.discard("R", ("a", "1"))
+        check()
+        db.close()
+        db.open()
+        check()
+        db.add("S", ("5", "e"))
+        check()
+        assert storage_stats()["pushdown"]["mirror_rebuilds"] == 2
+        db.close()
+        assert sorted(p.name for p in db.path.iterdir()
+                      if not p.name.startswith(("snapshot-", "wal-"))) == []
+
     def test_in_memory_mirror_tracks_updates(self):
         db = Database([RelationSchema("R", 2, 1), RelationSchema("S", 2, 1)])
         self.seed(db)
@@ -450,7 +409,6 @@ class TestEndToEnd:
             db.discard("S", ("1", "b"))
         db.add("R", ("e", "5"))
         assert sql_mirror(db) is mirror  # attached once, kept in step
-        assert mirror.clock == db.clock
         assert (certain_answers(oq, db, "sql")
                 == certain_answers(oq, db, "compiled"))
         assert mirror_rows(mirror, "S") == db.facts("S")

@@ -63,18 +63,17 @@ def test_reopened_store_matches_in_memory(seed, n, cut):
         recovered = PersistentDatabase(directory)
         try:
             assert state_digest(recovered) == state_digest(memory)
-            from repro.storage import sql_mirror, storage_stats
+            from repro.storage import storage_stats
 
             native_before = storage_stats()["pushdown"]["native_sql"]
             for method in METHODS:
                 assert (answer_digest(recovered, method)
                         == answer_digest(memory, method)), method
-            # "sql" ran natively twice: inside the recovered store's
-            # reattached file mirror, and in the plain database's
-            # in-memory one — recovery is invisible to pushdown too.
+            # "sql" ran natively twice: in the recovered store's mirror
+            # and in the plain database's — recovery is invisible to
+            # pushdown too.
             assert (storage_stats()["pushdown"]["native_sql"]
                     == native_before + 2)
-            assert sql_mirror(recovered).path.name == "mirror.sqlite"
         finally:
             recovered.close()
     finally:

@@ -291,6 +291,38 @@ class TestViews:
         db2.close()
 
 
+class TestDurableFiles:
+    """Every file the store creates is fsynced before it is relied on,
+    and so is the directory entry that names it."""
+
+    def test_store_creation_syncs_segment_entry(self, tmp_path, fsync_spy):
+        db = make_store(tmp_path / "store")
+        (segment,) = list_segments(db.path)
+        fsync_spy.assert_durable(segment)
+        db.close()
+
+    def test_checkpoint_syncs_snapshot_and_segment_entries(self, tmp_path,
+                                                           fsync_spy):
+        db = make_store(tmp_path / "store")
+        db.add("R", ("a", "1"))
+        fsync_spy.events.clear()
+        db.checkpoint()
+        assert fsync_spy.directory_syncs(db.path) == 2
+        (snapshot,) = list_snapshots(db.path)
+        (segment,) = list_segments(db.path)
+        fsync_spy.assert_durable(snapshot)
+        fsync_spy.assert_durable(segment)
+        db.close()
+
+    def test_register_view_syncs_manifest(self, tmp_path, fsync_spy):
+        db = make_store(tmp_path / "store")
+        fsync_spy.events.clear()
+        db.register_view(parse_query("R(x | y), not S(y | x)"),
+                         [Variable("x")])
+        fsync_spy.assert_durable(db.path / "views.json")
+        db.close()
+
+
 class TestQueryCodec:
     ROUND_TRIPS = [
         "R(x | y), not S(y | x)",
