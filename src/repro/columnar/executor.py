@@ -9,8 +9,8 @@ of row-at-a-time over Python tuples:
 
 * **Scans** filter and project dictionary-encoded columns cached on the
   database's :class:`~repro.columnar.dictionary.ColumnarStore`
-  (version-tagged, so mutations invalidate them like the database's own
-  hash indexes);
+  (kept in step with the changelog: a write's deltas fold into them on
+  the next read);
 * **Joins** fuse the shared key columns into one int per row
   (:func:`~repro.columnar.relation.fuse`), build the hash table over
   those ints once per batch, and emit selection vectors that are
@@ -267,8 +267,15 @@ class VectorExecutor:
         return method(self, plan)
 
     def _base(self) -> int:
-        """The fused-key radix: every assigned code is below it."""
-        return max(1, len(self.store.dictionary))
+        """The fused-key radix: the smallest power of two above every
+        assigned code.
+
+        Rounding up keeps the radix fixed while the dictionary grows
+        inside one power of two, so the key vectors cached on the
+        store's base batches (and patched by its folds) stay usable
+        after a write adds a few codes.
+        """
+        return 1 << max(0, len(self.store.dictionary) - 1).bit_length()
 
     def _run_scan(self, plan: Scan) -> ColumnarRelation:
         schema = self.db.schemas.get(plan.atom.relation)
@@ -301,9 +308,12 @@ class VectorExecutor:
                 profile.count(node, "index_hits")
             if hit.cols == out_cols:
                 return hit
-            return ColumnarRelation(out_cols, hit.columns, hit.length,
+            view = ColumnarRelation(out_cols, hit.columns, hit.length,
                                     fused=hit._fused)
-        columns, n = store.encoded(db, relation)
+            view._origins = hit._origins
+            return view
+        base = store.relation_batch(db, relation)
+        columns, n = base.columns, base.length
         if profile is not None:
             profile.count(node, "rows_scanned", n)
         sel: Optional[List[int]] = None
@@ -334,6 +344,10 @@ class VectorExecutor:
             result = _distinct_batch(out_cols, taken, m, self._base())
         else:
             result = ColumnarRelation(out_cols, tuple(taken), m)
+            if sel is None:
+                # The relation's own columns: fused keys come from the
+                # base batch, whose key vectors outlive writes.
+                result._origins = tuple((base, None, p) for p in proj)
         store.scan_cache_put(db, key, result)
         return result
 

@@ -7,7 +7,6 @@ executor maintains a **distinct-rows invariant** — every batch it
 produces holds each row at most once — so set semantics are preserved
 without the per-row hashing that dominates the tuple path.
 
-Columns are exposed through :meth:`memoryviews` for zero-copy access;
 :func:`fuse` packs several key columns into one int per row (codes are
 dense and non-negative, so ``k0 * base + k1`` with ``base`` at least
 the dictionary length is injective), which is what lets batch hash
@@ -20,10 +19,13 @@ from __future__ import annotations
 from array import array
 from itertools import islice
 from operator import add, itemgetter
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Iterable, List, Optional, Sequence, Set, Tuple)
 
 from ..core.terms import Variable
-from .dictionary import ValueDictionary
+
+if TYPE_CHECKING:  # the store module imports this one
+    from .dictionary import ValueDictionary
 
 __all__ = ["ColumnarRelation", "fuse", "gather", "pick"]
 
@@ -247,10 +249,6 @@ class ColumnarRelation:
     @property
     def width(self) -> int:
         return len(self.cols)
-
-    def memoryviews(self) -> Tuple[memoryview, ...]:
-        """Zero-copy views of the columns (the IPC/export surface)."""
-        return tuple(memoryview(col) for col in self.columns)
 
     def to_rows(self, dictionary: ValueDictionary) -> Set[Row]:
         """Decode back to the tuple executor's representation."""

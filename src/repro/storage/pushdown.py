@@ -41,7 +41,7 @@ from typing import Dict, FrozenSet, Iterable, Tuple
 from ..columnar.dictionary import columnar_store
 from ..columnar.relation import ColumnarRelation
 from ..db.changelog import Changelog
-from ..db.database import Database
+from ..db.database import BatchError, Database
 from ..fo.sql import table_name
 from .sqlgen import ADOM_TABLE, compile_plan, plan_relations
 from .stats import STATS
@@ -301,15 +301,33 @@ def sql_mirror(db: Database) -> SQLiteMirror:
     return mirror
 
 
+def _require_committed(db: Database) -> None:
+    if db.in_batch:
+        raise BatchError("method='sql' reads the last commit; "
+                         "commit the open batch first")
+
+
 def native_sql_answers(compiled, db: Database) -> FrozenSet[Tuple]:
-    """Answer rows of a compiled query, entirely inside sqlite."""
+    """Answer rows of a compiled query, entirely inside sqlite.
+
+    Raises :class:`~repro.db.database.BatchError` inside an open batch:
+    the mirror applies committed changelogs only, so it would answer
+    from the last commit (and a mirror first built mid-batch would
+    count the batch's active-domain refs twice at commit).
+    """
+    _require_committed(db)
     result = sql_mirror(db).answers(compiled)
     STATS["pushdown"]["native_sql"] += 1
     return result
 
 
 def native_sql_holds(compiled, db: Database) -> bool:
-    """Boolean certainty probe inside sqlite."""
+    """Boolean certainty probe inside sqlite.
+
+    Raises :class:`~repro.db.database.BatchError` inside an open batch,
+    like :func:`native_sql_answers`.
+    """
+    _require_committed(db)
     result = sql_mirror(db).holds(compiled)
     STATS["pushdown"]["native_sql"] += 1
     return result

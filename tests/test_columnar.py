@@ -109,11 +109,6 @@ class TestValueDictionary:
         assert d.code_of("never-seen") is None
         assert len(d) == 1
 
-    def test_encode_many(self):
-        d = ValueDictionary()
-        d.encode_many(["a", "b", "a", 3])
-        assert len(d) == 3 and d.code_of(3) == 2
-
 
 class TestColumnarRelation:
     def test_round_trip(self):
@@ -127,13 +122,6 @@ class TestColumnarRelation:
         d = ValueDictionary()
         assert ColumnarRelation.from_rows((), {()}, d).to_rows(d) == {()}
         assert ColumnarRelation.empty(()).to_rows(d) == set()
-
-    def test_memoryviews_are_zero_copy(self):
-        d = ValueDictionary()
-        rel = ColumnarRelation.from_rows((x,), {(10,), (20,)}, d)
-        (view,) = rel.memoryviews()
-        assert view.obj is rel.columns[0]
-        assert sorted(view.tolist()) == sorted(rel.columns[0].tolist())
 
     def test_fuse_injective_below_base(self):
         d = ValueDictionary()
@@ -156,24 +144,22 @@ class TestStoreInvalidation:
     def test_update_stream_refreshes_encoded_columns(self):
         db = db_from({"R/2/1": [(1, "a"), (2, "b")]})
         store = columnar_store(db)
-        columns, n = store.encoded(db, "R")
-        assert n == 2
+        assert store.relation_batch(db, "R").length == 2
         code_a = store.dictionary.code_of("a")
         # An incremental update stream: inserts and deletes, some in
         # explicit batches, each bumping the relation version.
         db.add("R", (3, "c"))
-        columns, n = store.encoded(db, "R")
-        assert n == 3
+        assert store.relation_batch(db, "R").length == 3
         db.discard("R", (1, "a"))
         db.begin_batch()
         db.add("R", (4, "d"))
         db.add("R", (5, "e"))
         db.commit()
-        columns, n = store.encoded(db, "R")
-        assert n == 4
+        batch = store.relation_batch(db, "R")
+        assert batch.length == 4
         decoded = {
-            tuple(store.dictionary.decode(col[i]) for col in columns)
-            for i in range(n)
+            tuple(store.dictionary.decode(col[i]) for col in batch.columns)
+            for i in range(batch.length)
         }
         assert decoded == {(2, "b"), (3, "c"), (4, "d"), (5, "e")}
         # Append-only dictionary: the deleted value keeps its code.
@@ -182,11 +168,9 @@ class TestStoreInvalidation:
     def test_discard_all_invalidates(self):
         db = db_from({"R/2/1": [(1, "a"), (2, "b"), (3, "c")]})
         store = columnar_store(db)
-        _, n = store.encoded(db, "R")
-        assert n == 3
+        assert store.relation_batch(db, "R").length == 3
         db.discard_all("R", [(1, "a"), (3, "c")])
-        _, n = store.encoded(db, "R")
-        assert n == 1
+        assert store.relation_batch(db, "R").length == 1
 
     def test_scan_cache_follows_relation_version(self):
         db = db_from({"R/2/1": [(1, "a"), (1, "b"), (2, "a")]})
