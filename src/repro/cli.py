@@ -25,9 +25,9 @@ from .core.query import QueryError
 from .core.terms import Variable
 from .cqa.certain_answers import (
     OpenQuery,
+    _guarded_open_rewriting,
     certain_answers,
     certain_answers_sql_query,
-    open_rewriting,
 )
 from .cqa.engine import CertaintyEngine, METHODS
 from .cqa.explain import explain
@@ -185,14 +185,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if args.json and not args.analyze:
         raise SystemExit("error: --json requires --analyze")
     query = _parse_query_arg(args.query)
+    free = [Variable(n.strip()) for n in (args.free or "").split(",")
+            if n.strip()]
     try:
-        if args.free:
-            free = [Variable(n.strip()) for n in args.free.split(",") if n.strip()]
-            formula = open_rewriting(OpenQuery(query, free))
-            compiled = compile_formula(formula, free)
-        else:
-            formula = Rewriter(query).rewrite()
-            compiled = compile_formula(formula)
+        # The formula the engine's dispatch compiles, so the plan shown
+        # and profiled is the plan ``auto`` runs.
+        formula = _guarded_open_rewriting(OpenQuery(query, free))
+        compiled = compile_formula(formula, free)
     except NotInFO as exc:
         print(_not_in_fo_diagnostics(args.query, exc), file=sys.stderr)
         return 2
@@ -770,7 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan",
                        help="show the set-at-a-time relational plan the "
-                            "compiled method runs for a query's rewriting")
+                            "engine runs for a query (compiled, columnar "
+                            "and auto all run this plan)")
     p.add_argument("query")
     p.add_argument("--free", default="",
                    help="comma-separated free variable names "

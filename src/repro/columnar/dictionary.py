@@ -1,10 +1,11 @@
 """Global per-database value dictionaries and the columnar store.
 
-Dictionary encoding is what lets the vectorized executor work on
-``array('q')`` int columns instead of tuples of Python objects: every
-domain value that ever appears in a fact (or a query constant) gets a
-small non-negative integer code, and all batch operators — hash joins,
-selections, deduplication — compare and hash those codes.
+Dictionary encoding is what lets the vectorized executor work on int
+columns — plain lists of the codes this dictionary assigned — instead
+of tuples of Python objects: every domain value that ever appears in a
+fact (or a query constant) gets a small non-negative integer code, and
+all batch operators — hash joins, selections, deduplication — compare
+and hash those codes.
 
 Three lifetimes coexist here, and keeping them apart is the whole
 invalidation story:
@@ -23,7 +24,7 @@ invalidation story:
   folds the queue into *copies* of the cached columns — a delete moves
   the last row into the freed slot through a row -> slot map that the
   first fold builds (read-only stores never build one), an insert
-  appends — so an array handed out earlier never changes.  The read
+  appends — so a column handed out earlier never changes.  The read
   re-encodes the relation in full instead when the queue does not lead
   from the cached version to the current one: columns encoded inside
   an open batch (its commit delta overlaps them, so they are never
@@ -51,10 +52,10 @@ copies never alias a stale store.
 from __future__ import annotations
 
 import threading
-from array import array
 from functools import partial
 from itertools import repeat
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple)
 
 from ..core.terms import Variable
 from ..db.changelog import Changelog, Delta
@@ -68,8 +69,8 @@ _STORE_ATTR = "_columnar_store"
 #: columnar read must not both subscribe a store.
 _ATTACH_LOCK = threading.Lock()
 
-#: Encoded relation columns: one ``array('q')`` per position.
-Columns = Tuple[array, ...]
+#: Encoded relation columns: one list of codes per position.
+Columns = Sequence[List[int]]
 #: One encoded row: its codes, position by position.
 CodeRow = Tuple[int, ...]
 
@@ -253,10 +254,7 @@ class ColumnarStore:
         arity = schema.arity if schema is not None else 0
         rows = list(db.facts(relation))
         encode = self.dictionary.encode
-        columns = tuple(
-            array("q", [encode(row[j]) for row in rows])
-            for j in range(arity)
-        )
+        columns = [[encode(row[j]) for row in rows] for j in range(arity)]
         cols = tuple(Variable(f"c{j}") for j in range(arity))
         return ColumnarRelation(cols, columns, len(rows))
 

@@ -13,11 +13,13 @@ of row-at-a-time over Python tuples:
   the next read);
 * **Joins** fuse the shared key columns into one int per row
   (:func:`~repro.columnar.relation.fuse`), build the hash table over
-  those ints once per batch, and emit selection vectors that are
-  gathered into output columns — no tuple construction anywhere on the
-  match path;
+  those ints once per batch, and emit one index vector per side as the
+  output columns' origins — a column is gathered only when some
+  operator reads it, and no tuple is built anywhere on the match path;
 * **Semi/anti-joins, difference, union, select, project** are selection
-  -vector filters and fused-key set operations.
+  -vector filters and fused-key set operations; a projection whose
+  kept columns are all of one source's, through one index vector,
+  selects that source's rows instead of deduplicating.
 
 Two deliberate delegations to the row executor (the oracle):
 
@@ -38,7 +40,6 @@ once the database reaches :data:`COLUMNAR_MIN_FACTS` facts (see
 
 from __future__ import annotations
 
-from array import array
 from itertools import chain, compress, count, repeat
 from operator import (
     and_ as op_and,
@@ -68,7 +69,7 @@ from ..fo.plan import (
     Union,
 )
 from .dictionary import columnar_store
-from .relation import ColumnarRelation, fuse, gather, pick
+from .relation import ColumnarRelation, fuse, gather
 
 __all__ = [
     "VectorExecutor",
@@ -122,8 +123,8 @@ def columnar_stats() -> Dict[str, int]:
 # ----------------------------------------------------------------------
 
 
-def _dedup(columns: Sequence[array], n: int,
-           base: int) -> Tuple[Sequence[array], int, Sequence[int]]:
+def _dedup(columns: Sequence[List[int]], n: int,
+           base: int) -> Tuple[Sequence[List[int]], int, Sequence[int]]:
     """Distinct rows of a column batch, via fused int keys.
 
     Keeps the first occurrence of every row (stable); returns the input
@@ -141,16 +142,42 @@ def _dedup(columns: Sequence[array], n: int,
         return columns, n, keys
     sel = sorted(first.values())
     return ([gather(col, sel) for col in columns], len(sel),
-            pick(keys, sel))
+            gather(keys, sel))
 
 
-def _distinct_batch(cols, columns: Sequence[array], n: int,
+def _distinct_batch(cols, columns: Sequence[List[int]], n: int,
                     base: int) -> ColumnarRelation:
     """A deduplicated batch whose full-width fused keys are pre-cached."""
     deduped, m, keys = _dedup(columns, n, base)
-    batch = ColumnarRelation(cols, tuple(deduped), m)
+    batch = ColumnarRelation(cols, deduped, m)
     batch._fused[(tuple(range(len(deduped))), base)] = keys
     return batch
+
+
+def _one_source(batch: ColumnarRelation, cols,
+                positions: Sequence[int]) -> Optional[ColumnarRelation]:
+    """The projection of ``batch`` onto ``positions`` without a dedup,
+    or ``None``.
+
+    It applies when every kept column comes from one source batch
+    through one index vector and the kept columns cover the source's
+    columns.  Distinct source rows are then distinct output rows, so
+    the projection is the source selected at the distinct indices.
+    This is the violators projection of every ``forall`` lowering,
+    ``pi_seed(sigma(seed join R))``: the join's match rows only ask
+    which seed rows have a violating fact.
+    """
+    common = batch.common_origin(positions)
+    if common is None:
+        return None
+    source, idx, spos = common
+    if len(set(spos)) != source.width:
+        return None
+    if idx is not None:
+        rows = sorted(set(idx))
+        if len(rows) != source.length:
+            source = source.select(rows)
+    return source.reorder(cols, spos)
 
 
 def _filter_common_child(union: Union) -> Optional[Plan]:
@@ -235,7 +262,7 @@ class VectorExecutor:
             self._profile.count(plan, "memo_hits")
         return cached
 
-    def rows(self, plan: Plan) -> Set[Row]:
+    def rows(self, plan: Plan) -> FrozenSet[Row]:
         """Execute and decode back to value tuples."""
         return self.run(plan).to_rows(self.store.dictionary)
 
@@ -518,22 +545,11 @@ class VectorExecutor:
                 if all(v in side.cols for v in plan.cols):
                     child = self._semi_between(side, other, True)
                     positions = tuple(side.cols.index(v) for v in plan.cols)
-                    taken = [child.column(p) for p in positions]
-                    if len(positions) == len(side.cols) or child.length == 0:
-                        return ColumnarRelation(plan.cols, tuple(taken),
-                                                child.length)
-                    return _distinct_batch(plan.cols, taken, child.length,
-                                           self._base())
+                    return self._narrow(plan.cols, child, positions)
         if type(inner) is Union:
             folded = self._union_filter_batch(inner)
             if folded is not None:
-                taken = [folded.column(p) for p in plan.positions]
-                if len(plan.positions) == folded.width \
-                        or folded.length == 0:
-                    return ColumnarRelation(plan.cols, tuple(taken),
-                                            folded.length)
-                return _distinct_batch(plan.cols, taken, folded.length,
-                                       self._base())
+                return self._narrow(plan.cols, folded, plan.positions)
             # Projection distributes over union: concatenate the parts'
             # projected columns and deduplicate once, instead of
             # deduplicating the full-width union first and the narrowed
@@ -542,20 +558,28 @@ class VectorExecutor:
             nonempty = [b for b in parts if b.length]
             if not nonempty:
                 return ColumnarRelation.empty(plan.cols)
-            merged: List[array] = []
-            for pos in plan.positions:
-                col = array("q")
-                for batch in nonempty:
-                    col.extend(batch.column(pos))
-                merged.append(col)
+            merged = [list(chain.from_iterable(b.column(pos)
+                                               for b in nonempty))
+                      for pos in plan.positions]
             total = sum(b.length for b in nonempty)
             return _distinct_batch(plan.cols, merged, total, self._base())
-        child = self.run(inner)
-        taken = [child.column(p) for p in plan.positions]
-        if len(plan.positions) == child.width or child.length == 0:
-            # Pure reorder of distinct rows (or nothing to deduplicate).
-            return ColumnarRelation(plan.cols, tuple(taken), child.length)
-        return _distinct_batch(plan.cols, taken, child.length, self._base())
+        return self._narrow(plan.cols, self.run(inner), plan.positions)
+
+    def _narrow(self, cols, child: ColumnarRelation,
+                positions: Sequence[int]) -> ColumnarRelation:
+        """``child`` projected onto ``positions`` under ``cols``.
+
+        Deduplicates only when the kept columns may repeat a row: a
+        pure reorder and a one-source projection (see
+        :func:`_one_source`) keep distinct rows distinct.
+        """
+        if len(positions) == child.width or child.length == 0:
+            return child.reorder(cols, positions)
+        narrowed = _one_source(child, cols, positions)
+        if narrowed is not None:
+            return narrowed
+        taken = [child.column(p) for p in positions]
+        return _distinct_batch(cols, taken, child.length, self._base())
 
     def _run_join(self, plan: Join) -> ColumnarRelation:
         left = self.run(plan.left)
@@ -584,7 +608,7 @@ class VectorExecutor:
                 ridx = jidx
             else:
                 lidx = matched
-                ridx = pick(jidx, matched)
+                ridx = gather(jidx, matched)
         else:
             # Duplicated build keys: flatten the matching row groups.
             # ``chain``/``repeat`` keep the per-match fan-out in C.
@@ -592,27 +616,16 @@ class VectorExecutor:
             lidx = list(chain.from_iterable(
                 map(repeat, count(), map(len, groups))))
             ridx = list(chain.from_iterable(groups))
-        # lidx None means the left side survives untouched: reuse its
-        # columns instead of gathering an identity selection.
-        out_columns = tuple(
-            (left.column(pos) if lidx is None else
-             gather(left.column(pos), lidx)) if side == 0
-            else gather(right.column(pos), ridx)
-            for side, pos in plan.emit
-        )
         length = left.length if lidx is None else len(lidx)
         # No dedup: the output carries every column of both sides, so a
         # row determines the (left row, right row) pair that emitted it,
-        # and distinct inputs give distinct outputs.
-        result = ColumnarRelation(plan.cols, out_columns, length)
-        # Fused keys over columns all gathered from one side (e.g. a
-        # downstream semi-join on the preserved side's key) derive from
-        # that side's cached key vector instead of a fresh fuse pass.
-        result._origins = tuple(
+        # and distinct inputs give distinct outputs.  No gather either:
+        # the index vectors become the columns' origins, and a column is
+        # gathered only when some operator reads it.
+        return ColumnarRelation(plan.cols, None, length, origins=tuple(
             (left, lidx, pos) if side == 0 else (right, ridx, pos)
             for side, pos in plan.emit
-        )
-        return result
+        ))
 
     def _semi_filter(self, plan, keep_matching: bool) -> ColumnarRelation:
         return self._semi_between(plan.left, plan.right, keep_matching)
@@ -667,13 +680,8 @@ class VectorExecutor:
             return ColumnarRelation.empty(plan.cols)
         if len(nonempty) == 1:
             return nonempty[0]
-        width = len(plan.cols)
-        merged: List[array] = []
-        for j in range(width):
-            col = array("q")
-            for batch in nonempty:
-                col.extend(batch.column(j))
-            merged.append(col)
+        merged = [list(chain.from_iterable(b.column(j) for b in nonempty))
+                  for j in range(len(plan.cols))]
         total = sum(b.length for b in nonempty)
         return _distinct_batch(plan.cols, merged, total, self._base())
 
@@ -711,8 +719,7 @@ def columnar_rows(compiled, db: Database,
     store = columnar_store(db)
     executor = VectorExecutor(db, compiled.constants, profile=profile,
                               store=store)
-    batch = executor.run(compiled.plan)
-    return frozenset(batch.to_rows(store.dictionary))
+    return executor.run(compiled.plan).to_rows(store.dictionary)
 
 
 def columnar_holds(compiled, db: Database, profile=None) -> bool:

@@ -2,10 +2,12 @@
 
 A :class:`ColumnarRelation` is the vectorized counterpart of the tuple
 executor's ``Set[Row]``: the same relation of variable assignments,
-stored as one ``array('q')`` of dictionary codes per column.  The
-executor maintains a **distinct-rows invariant** — every batch it
-produces holds each row at most once — so set semantics are preserved
-without the per-row hashing that dominates the tuple path.
+stored as one plain list of dictionary codes per column.  The list
+holds the very int objects the dictionary assigned, so reading an
+element allocates nothing.  The executor maintains a **distinct-rows
+invariant** — every batch it produces holds each row at most once — so
+set semantics are preserved without the per-row hashing that dominates
+the tuple path.
 
 :func:`fuse` packs several key columns into one int per row (codes are
 dense and non-negative, so ``k0 * base + k1`` with ``base`` at least
@@ -16,41 +18,34 @@ keys.
 
 from __future__ import annotations
 
-from array import array
 from itertools import islice
 from operator import add, itemgetter
 from typing import (
-    TYPE_CHECKING, Iterable, List, Optional, Sequence, Set, Tuple)
+    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence,
+    Tuple)
 
 from ..core.terms import Variable
 
 if TYPE_CHECKING:  # the store module imports this one
     from .dictionary import ValueDictionary
 
-__all__ = ["ColumnarRelation", "fuse", "gather", "pick"]
+__all__ = ["ColumnarRelation", "fuse", "gather"]
 
 Row = Tuple
 Cols = Tuple[Variable, ...]
+#: Where a column comes from: ``(source batch, row index vector or
+#: None for identity, source position)``.
+Origin = Tuple["ColumnarRelation", Optional[Sequence[int]], int]
 
 
-def gather(column: Sequence[int], selection: Sequence[int]) -> array:
-    """The selected elements of one column, as a fresh int column.
+def gather(values: Sequence, selection: Sequence[int]) -> List:
+    """The selected elements, in selection order, as a fresh list.
 
+    One function for code columns, fused key vectors (whose entries
+    can exceed 64 bits on wide batches) and index vectors alike.
     ``itemgetter(*selection)`` resolves the whole selection in one C
     call — measurably faster than mapping ``__getitem__`` — at the
     price of one transient tuple.
-    """
-    if len(selection) > 1:
-        return array("q", itemgetter(*selection)(column))
-    return array("q", map(column.__getitem__, selection))
-
-
-def pick(values: Sequence, selection: Sequence[int]) -> List:
-    """The selected elements as a plain list.
-
-    The list-valued sibling of :func:`gather` for fused key vectors,
-    whose entries can exceed 64 bits on wide batches and so must never
-    pass through an ``array('q')``.
     """
     if len(selection) > 1:
         return list(itemgetter(*selection)(values))
@@ -80,67 +75,53 @@ def fuse(columns: Sequence[Sequence[int]], positions: Sequence[int],
 class ColumnarRelation:
     """Distinct rows over ``cols``, one int column per variable.
 
-    A batch is either **materialized** (it owns one ``array('q')`` per
-    column) or a **deferred selection** over another batch: it records
-    the source and a selection vector, and gathers a column only when
-    some operator actually reads it.  Filters (select, semi/anti-join,
-    difference) produce deferred batches, so a three-column filter
-    result whose parent only projects two columns never pays the third
-    gather — and its fused join keys come straight from the source's
-    cached key vector with a single gather instead of a fresh
-    multi-column fuse.  Chained selections compose their vectors, so
-    laziness never gathers more than the eager executor did.
+    A batch is built either with every column in hand (scans,
+    deduplications, the store's relation batches) or from per-column
+    **origins** ``(source batch, row index vector or None for identity,
+    source position)``: join outputs, filter results (select,
+    semi/anti-join, difference) and reorders.  A column with an origin
+    is gathered from its source on first read and kept, so a column no
+    operator reads is never gathered.  Gathering writes to the batch:
+    batches that threads share — the store's relation batches and scan
+    results, which ``repro serve``'s readers all use — are built with
+    every column in hand.  Selecting from a batch composes each
+    distinct index vector once, never stacking lazy layers; fused keys
+    over columns that share one source and one index vector come from
+    the source's cached key vector (see :meth:`fused`).
     """
 
-    __slots__ = ("cols", "length", "_columns", "_fused", "_source", "_sel",
-                 "_origins")
+    __slots__ = ("cols", "length", "_columns", "_fused", "_origins")
 
     def __init__(self, cols: Cols,
-                 columns: Optional[Iterable[array]], length: int,
+                 columns: Optional[Iterable[List[int]]], length: int,
                  fused: Optional[dict] = None,
-                 source: Optional["ColumnarRelation"] = None,
-                 sel: Optional[Sequence[int]] = None):
+                 origins: Optional[Tuple[Origin, ...]] = None):
         self.cols = cols
-        self._columns: Optional[Tuple[array, ...]] = (
-            None if columns is None else tuple(columns))
         self.length = length
+        # None marks a column not gathered yet (it has an origin).
+        self._columns: List[Optional[List[int]]] = (
+            [None] * len(cols) if columns is None else list(columns))
         # Shared with re-labelled views of the same columns (the scan
         # cache hands out one data batch under several column tuples).
         self._fused: dict = {} if fused is None else fused
-        self._source = source
-        self._sel = sel
-        # Per-column provenance ``(source batch, row index vector or
-        # None for identity, source position)`` — the join operator
-        # records where each output column was gathered from, so fused
-        # keys over columns that all came from one side derive from
-        # that side's cached key vector (see :meth:`fused`).
-        self._origins: Optional[Tuple] = None
+        self._origins = origins
 
     @property
-    def columns(self) -> Tuple[array, ...]:
-        """Every column, materializing a deferred selection on demand."""
-        columns = self._columns
-        if columns is None:
-            columns = tuple(self.column(j) for j in range(len(self.cols)))
-            self._columns = columns
-            self._source = self._sel = None
-        return columns
+    def columns(self) -> List[List[int]]:
+        """Every column, gathering the ones not read yet."""
+        return [self.column(j) for j in range(len(self.cols))]
 
-    def column(self, j: int) -> array:
-        """One column — the lazy accessor operators should prefer.
-
-        On a deferred batch this gathers (and caches) just column
-        ``j``; the other columns stay unmaterialized.
-        """
-        columns = self._columns
-        if columns is not None:
-            return columns[j]
-        key = ("col", j)
-        col = self._fused.get(key)
+    def column(self, j: int) -> List[int]:
+        """One column — the accessor operators should prefer: it
+        gathers (and keeps) column ``j`` alone."""
+        col = self._columns[j]
         if col is None:
-            assert self._source is not None and self._sel is not None
-            col = gather(self._source.column(j), self._sel)
-            self._fused[key] = col
+            assert self._origins is not None
+            source, idx, pos = self._origins[j]
+            col = source.column(pos)
+            if idx is not None:
+                col = gather(col, idx)
+            self._columns[j] = col
         return col
 
     def fused(self, positions: Sequence[int], base: int) -> Sequence[int]:
@@ -151,35 +132,42 @@ class ColumnarRelation:
         a given ``(positions, base)`` is computed once.  The cache is
         keyed on ``base`` too because the dictionary may grow between
         executions (new codes never invalidate old keys, but fused
-        values must come from one radix to be comparable).  Deferred
-        batches pick their keys out of the source's cached vector —
-        fused keys can exceed 64 bits for wide batches, so that gather
-        stays a plain list, never an ``array('q')``.
+        values must come from one radix to be comparable).  Columns
+        that share one source and one index vector take their keys out
+        of the source's cached vector with a single gather.
         """
         pos = tuple(positions)
         key = (pos, base)
         keys = self._fused.get(key)
         if keys is None:
-            origins = self._origins
-            if origins is not None and len(pos) > 1:
-                infos = [origins[p] for p in pos]
-                src, idx = infos[0][0], infos[0][1]
-                if all(o[0] is src and o[1] is idx for o in infos[1:]):
-                    source_keys = src.fused(
-                        tuple(o[2] for o in infos), base)
-                    keys = (source_keys if idx is None
-                            else pick(source_keys, idx))
-            if keys is None:
-                if self._columns is not None:
-                    keys = fuse(self._columns, pos, self.length, base)
-                elif len(pos) == 1:
-                    keys = self.column(pos[0])
-                else:
-                    assert (self._source is not None
-                            and self._sel is not None)
-                    keys = pick(self._source.fused(pos, base), self._sel)
+            common = self.common_origin(pos) if len(pos) > 1 else None
+            if common is not None:
+                source, idx, spos = common
+                keys = source.fused(spos, base)
+                if idx is not None:
+                    keys = gather(keys, idx)
+            else:
+                keys = fuse([self.column(p) for p in pos], range(len(pos)),
+                            self.length, base)
             self._fused[key] = keys
         return keys
+
+    def common_origin(self, positions: Sequence[int]) -> Optional[
+            Tuple["ColumnarRelation", Optional[Sequence[int]], List[int]]]:
+        """``(source, index vector, source positions)`` when every column
+        at ``positions`` comes from one source through one index vector,
+        else ``None``."""
+        origins = self._origins
+        if origins is None or not positions:
+            return None
+        source, idx, _ = origins[positions[0]]
+        spos = []
+        for p in positions:
+            src, vec, pos = origins[p]
+            if src is not source or vec is not idx:
+                return None
+            spos.append(pos)
+        return source, idx, spos
 
     def join_index(self, positions: Sequence[int],
                    base: int) -> Tuple[dict, bool]:
@@ -209,7 +197,7 @@ class ColumnarRelation:
 
     @classmethod
     def empty(cls, cols: Cols) -> "ColumnarRelation":
-        return cls(cols, tuple(array("q") for _ in cols), 0)
+        return cls(cols, [[] for _ in cols], 0)
 
     @classmethod
     def from_rows(cls, cols: Cols, rows: Iterable[Row],
@@ -217,10 +205,8 @@ class ColumnarRelation:
         """Encode a set of (already distinct) value rows."""
         rows = list(rows)
         encode = dictionary.encode
-        columns = tuple(
-            array("q", [encode(row[j]) for row in rows])
-            for j in range(len(cols))
-        )
+        columns = [[encode(row[j]) for row in rows]
+                   for j in range(len(cols))]
         return cls(cols, columns, len(rows))
 
     @classmethod
@@ -231,10 +217,10 @@ class ColumnarRelation:
 
         The zero-shuttle half of the SQL pushdown: a sqlite cursor over
         an integer-encoded mirror yields code tuples, which land
-        directly in ``array('q')`` columns — answers never materialize
-        as Python value tuples on the way out of the database.
+        directly in int columns — answers never materialize as Python
+        value tuples on the way out of the database.
         """
-        columns = tuple(array("q") for _ in cols)
+        columns: List[List[int]] = [[] for _ in cols]
         length = 0
         it = iter(rows)
         while True:
@@ -250,34 +236,58 @@ class ColumnarRelation:
     def width(self) -> int:
         return len(self.cols)
 
-    def to_rows(self, dictionary: ValueDictionary) -> Set[Row]:
+    def to_rows(self, dictionary: ValueDictionary) -> FrozenSet[Row]:
         """Decode back to the tuple executor's representation."""
         if self.length == 0:
-            return set()
+            return frozenset()
         if not self.cols:
-            return {()}
+            return frozenset({()})
         values = dictionary.values
         if self.length > 1:
             decoded = [itemgetter(*col)(values) for col in self.columns]
         else:
             decoded = [[values[col[0]]] for col in self.columns]
-        return set(zip(*decoded))
+        return frozenset(zip(*decoded))
+
+    def _sources(self) -> Tuple[Origin, ...]:
+        """Per-column origins; a batch without them is its own source."""
+        if self._origins is not None:
+            return self._origins
+        return tuple((self, None, j) for j in range(len(self.cols)))
 
     def select(self, selection: Sequence[int]) -> "ColumnarRelation":
         """The batch restricted to the rows of one selection vector.
 
-        Deferred: no column is gathered until something reads it.
-        Selecting from an already-deferred batch composes the two
-        selection vectors instead of stacking lazy layers.
+        Gathers nothing: each origin's index vector composes with
+        ``selection`` once per distinct vector, not once per column.
         """
-        if self._columns is None:
-            source, sel = self._source, self._sel
-            assert source is not None and sel is not None
-            composed = pick(sel, selection)
-            return ColumnarRelation(self.cols, None, len(composed),
-                                    source=source, sel=composed)
+        composed: Dict[int, Sequence[int]] = {}
+        origins = []
+        for source, idx, pos in self._sources():
+            if idx is None:
+                rows = selection
+            else:
+                rows = composed.get(id(idx))
+                if rows is None:
+                    rows = composed[id(idx)] = gather(idx, selection)
+            origins.append((source, rows, pos))
         return ColumnarRelation(self.cols, None, len(selection),
-                                source=self, sel=selection)
+                                origins=tuple(origins))
+
+    def reorder(self, cols: Cols,
+                positions: Sequence[int]) -> "ColumnarRelation":
+        """The columns at ``positions``, relabelled ``cols``.
+
+        Gathers nothing, and keeps the columns already read.  The rows
+        stay distinct only when ``positions`` cover every column:
+        callers guarantee it.
+        """
+        if cols == self.cols and tuple(positions) == tuple(range(len(cols))):
+            return self
+        origins = self._sources()
+        return ColumnarRelation(
+            cols, [self._columns[p] for p in positions], self.length,
+            origins=tuple(origins[p] for p in positions))
 
     def __len__(self) -> int:
         return self.length

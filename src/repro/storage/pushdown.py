@@ -8,7 +8,7 @@ then stays delta-consistent by subscribing to the database's
 changelog, and :mod:`repro.storage.sqlgen` compiles the verified plan
 IR straight to one parameterized SELECT that sqlite executes
 end-to-end.  No per-call loading, no per-row Python decode: answer rows
-come back as dictionary codes and land in ``array('q')`` columns
+come back as dictionary codes and land in int columns
 (:meth:`ColumnarRelation.from_code_rows`).
 
 Mirror layout:
@@ -245,7 +245,7 @@ class SQLiteMirror:
         with self._lock:
             cur = self._execute(compiled, probe=False)
             batch = ColumnarRelation.from_code_rows(compiled.free, cur)
-        return frozenset(batch.to_rows(self.dictionary))
+        return batch.to_rows(self.dictionary)
 
     # -- introspection -------------------------------------------------
 

@@ -7,7 +7,12 @@ import pytest
 
 from repro.cli import main
 from repro.columnar.executor import COLUMNAR_MIN_FACTS
+from repro.core.parser import parse_query
+from repro.core.terms import Variable
+from repro.cqa.certain_answers import OpenQuery, _guarded_open_rewriting
 from repro.db.io import save_database
+from repro.fo.compile import plan_cache
+from repro.fo.plan import plan_nodes
 from repro.storage import reset_storage_stats, storage_stats
 from repro.workloads.poll import (
     paper_flavoured_poll_database,
@@ -89,6 +94,27 @@ class TestAnswers:
         assert main(["answers", QA, "--free", "p", "--db", poll_file,
                      "--show-sql"]) == 0
         assert "SELECT DISTINCT" in capsys.readouterr().out
+
+
+class TestPlan:
+    @pytest.mark.parametrize("free", [("p", "t"), ()])
+    def test_shows_the_plan_the_engine_runs(self, capsys, free):
+        """``repro plan`` compiles the guarded formula ``_dispatch``
+        compiles: for poll_qa(p,t) that plan needs no active domain,
+        where the unguarded rewriting took an ``AdomProduct``."""
+        args = ["plan", QA, "--check"]
+        if free:
+            args += ["--free", ",".join(free)]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "AdomProduct" not in out
+        assert "uses active domain" not in out
+        oq = OpenQuery(parse_query(QA), [Variable(v) for v in free])
+        compiled = plan_cache.get_or_compile(
+            _guarded_open_rewriting(oq), paper_flavoured_poll_database(),
+            oq.free)
+        n = sum(1 for _ in plan_nodes(compiled.plan))
+        assert f"plan: {n} operators" in out
 
 
 class TestJobsFlag:

@@ -297,6 +297,33 @@ class TestVectorOperators:
         db = db_from({"R/1/1": [(1,)]})
         assert both(AdomGuard(), db) == {()}
 
+    def test_one_source_projection(self, monkeypatch):
+        """pi[z, p](sigma z != t (X(z, p) join G(p, t))), the shape of
+        every ``forall`` lowering's violators: the kept columns are all
+        of X's, through one index vector, so the projection is X
+        selected at the matched rows.  Nothing is deduplicated, and the
+        join's ``p`` column, which no operator reads, is never
+        gathered."""
+        db = db_from({
+            "X/2/1": [(1, "a"), (1, "b"), (2, "a"), (3, "c"), (3, "a")],
+            "G/2/1": [("a", 1), ("a", 2), ("b", 1), ("c", 3), ("c", 5),
+                      ("c", 7)],
+        })
+        join = Join(Scan(atom("X", [z], [p])), Scan(atom("G", [p], [t])))
+        select = Select(join, ((("col", join.cols.index(z)),
+                                ("col", join.cols.index(t)), False),))
+        plan = Project(select, (z, p))
+        dedups = []
+        dedup = columnar_executor._dedup
+        monkeypatch.setattr(columnar_executor, "_dedup",
+                            lambda *a: dedups.append(1) or dedup(*a))
+        executor = VectorExecutor(db)
+        got = executor.run(plan).to_rows(executor.store.dictionary)
+        assert got == rrun(plan, db)
+        assert got == {(1, "a"), (2, "a"), (3, "c"), (3, "a")}
+        assert dedups == []
+        assert executor.run(join)._columns[join.cols.index(p)] is None
+
     def test_memoization_counts(self):
         db = db_from({"R/2/1": [(1, 2), (3, 4)]})
         scan = Scan(atom("R", [x], [y]))

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.analysis.verifier import plan_uses_adom
+from repro.columnar import columnar_rows
 from repro.core.atoms import RelationSchema, atom
 from repro.core.parser import parse_query
 from repro.core.terms import Constant, Variable
@@ -131,6 +132,7 @@ def test_compiled_open_formula_matches_evaluator(formula, r_rows, s_rows):
         if evaluator.evaluate(dict(zip(free, values)))
     }
     assert compiled.rows(db) == expected
+    assert columnar_rows(compiled, db) == expected
 
 
 QUERY_PARAM_GRID = (
