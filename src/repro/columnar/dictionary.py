@@ -7,7 +7,7 @@ fact (or a query constant) gets a small non-negative integer code, and
 all batch operators — hash joins, selections, deduplication — compare
 and hash those codes.
 
-Three lifetimes coexist here, and keeping them apart is the whole
+Four lifetimes coexist here, and keeping them apart is the whole
 invalidation story:
 
 * The :class:`ValueDictionary` is **append-only and never invalidated**.
@@ -33,6 +33,16 @@ invalidation story:
 * **Scan results are version-tagged caches**, valid only at the
   :meth:`Database.relation_version` they were computed against and
   swept when their relation's columns move on.
+* **Kept answers are never invalidated, only compared.**  Per compiled
+  plan the store keeps the answer it last returned, the set of its
+  rows' fused keys and the radix they were fused under.  The next
+  read of that plan fuses its new root under the current radix: an
+  equal key set returns the kept answer, and otherwise the kept answer
+  drops the rows of vanished keys and gains those of new keys (codes
+  are append-only, so an old key still unfuses to the same values).  A
+  moved radix, or a change of more than half the answer, decodes
+  afresh.  Entries are bounded by the plan cache's ``maxsize``, least
+  recently used first out.
 
 Each relation's cache entry publishes its columns together with a
 *base batch* over them, in one tuple, because readers take a lock-free
@@ -41,8 +51,11 @@ The base batch caches the fused keys that full-width scans ask for
 (through :attr:`ColumnarRelation._origins`), and a fold patches those
 key vectors with the same edits instead of re-fusing the relation.
 Folds and full encodes run under the store's lock, so two readers
-never fold into one slot map.  ``tests/test_columnar_delta.py`` pins
-the fold against the compiled oracle, including the open-batch trap.
+never fold into one slot map.  A kept answer is published the same
+way, as one ``(radix, key set, answer)`` tuple of frozensets, so
+``repro serve``'s reader threads may share it.
+``tests/test_columnar_delta.py`` pins the fold and the kept answers
+against the compiled oracle, including the open-batch trap.
 
 The store itself is attached lazily to the :class:`Database` instance
 (``db._columnar_store``); ``Database.copy()`` builds a fresh object, so
@@ -52,14 +65,16 @@ copies never alias a stale store.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from functools import partial
 from itertools import repeat
 from typing import (
-    Callable, Dict, Iterable, List, Optional, Sequence, Tuple)
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple)
 
 from ..core.terms import Variable
 from ..db.changelog import Changelog, Delta
 from ..db.database import Database
+from ..fo.compile import plan_cache
 from .relation import ColumnarRelation
 
 __all__ = ["ValueDictionary", "ColumnarStore", "columnar_store"]
@@ -73,6 +88,10 @@ _ATTACH_LOCK = threading.Lock()
 Columns = Sequence[List[int]]
 #: One encoded row: its codes, position by position.
 CodeRow = Tuple[int, ...]
+#: The answer last returned for a plan: ``(radix, the fused keys of
+#: its rows under that radix, its value rows)``, published as one tuple
+#: and never mutated.
+KeptAnswer = Tuple[int, FrozenSet[int], FrozenSet[Tuple]]
 
 
 class ValueDictionary:
@@ -155,7 +174,9 @@ class ColumnarStore:
       its foldable entry;
     * ``scan``: one entry per distinct scan shape (constants, repeated
       -variable checks, projection), tagged with the relation version,
-      so repeated executions of a plan skip the filter/dedup work.
+      so repeated executions of a plan skip the filter/dedup work;
+    * ``answers``: compiled plan -> the :data:`KeptAnswer` last
+      returned for it, least recently used first.
 
     The store never holds a reference to its database — every method
     takes the ``db`` it serves, and the changelog listener that
@@ -164,7 +185,7 @@ class ColumnarStore:
     """
 
     __slots__ = ("dictionary", "_encoded", "_pending", "_slots", "_scans",
-                 "_lock")
+                 "_answers", "_lock")
 
     def __init__(self) -> None:
         self.dictionary = ValueDictionary()
@@ -176,6 +197,8 @@ class ColumnarStore:
         # scan key -> (relation version, batch); caching the batch object
         # (not bare columns) keeps its fused-key cache warm across runs
         self._scans: Dict[Tuple, Tuple[int, object]] = {}
+        # plans hash by identity; a plan the plan cache evicted ages out
+        self._answers: "OrderedDict[object, KeptAnswer]" = OrderedDict()
         self._lock = threading.Lock()
 
     # -- changelog -----------------------------------------------------
@@ -330,6 +353,22 @@ class ColumnarStore:
 
     def scan_cache_put(self, db: Database, key: Tuple, batch) -> None:
         self._scans[key] = (db.relation_version(key[0]), batch)
+
+    # -- answers -------------------------------------------------------
+
+    def kept_answer(self, plan) -> Optional[KeptAnswer]:
+        """The answer last kept for ``plan`` on this store, or ``None``."""
+        return self._answers.get(plan)
+
+    def keep_answer(self, plan, kept: KeptAnswer) -> None:
+        """Publish ``kept`` as ``plan``'s answer, evicting the least
+        recently kept beyond the plan cache's bound."""
+        with self._lock:
+            answers = self._answers
+            answers[plan] = kept
+            answers.move_to_end(plan)
+            while len(answers) > plan_cache.maxsize:
+                answers.popitem(last=False)
 
     def prime(self, db: Database) -> int:
         """Encode every relation of ``db`` into the dictionary.

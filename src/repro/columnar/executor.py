@@ -49,7 +49,8 @@ from operator import (
     or_ as op_or,
 )
 from time import perf_counter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple)
 
 from ..db.database import Database
 from ..fo.plan import (
@@ -68,7 +69,7 @@ from ..fo.plan import (
     SemiJoin,
     Union,
 )
-from .dictionary import columnar_store
+from .dictionary import ColumnarStore, columnar_store
 from .relation import ColumnarRelation, fuse, gather
 
 __all__ = [
@@ -98,6 +99,8 @@ def reset_columnar_stats() -> None:
         decode_fallbacks=0,
         auto_routed=0,
         scan_cache_hits=0,
+        answers_reused=0,
+        answer_rows_decoded=0,
     )
 
 
@@ -112,8 +115,11 @@ def columnar_stats() -> Dict[str, int]:
     executor's short-circuit probe), ``decode_fallbacks`` (Adom* nodes
     evaluated row-at-a-time and re-encoded), ``auto_routed``
     (``method="auto"`` decisions for columnar), ``scan_cache_hits``
-    (store-level scan results reused).  Feeds the ``columnar`` section
-    of ``engine.metrics()``.
+    (store-level scan results reused), ``answers_reused`` (answers
+    built from the one the store kept for their plan, unchanged or
+    patched), ``answer_rows_decoded`` (answer rows decoded from codes:
+    every row on a full decode, the changed ones on a patch).  Feeds
+    the ``columnar`` section of ``engine.metrics()``.
     """
     return dict(_STATS)
 
@@ -128,18 +134,25 @@ def _dedup(columns: Sequence[List[int]], n: int,
     """Distinct rows of a column batch, via fused int keys.
 
     Keeps the first occurrence of every row (stable); returns the input
-    unchanged when already distinct.  The first-occurrence map is one
-    reversed dict comprehension (later writes win, so reversed order
-    keeps the *first* occurrence) — a C-level pass that doubles as the
-    distinctness test.  Also returns the surviving rows' fused keys so
-    the caller can pre-seed the output batch's key cache (set operators
-    downstream then skip re-fusing the very columns this just hashed).
+    unchanged when already distinct.  Every pass is C-level.  One
+    column is its own key vector, and ``dict.fromkeys`` keeps its
+    distinct codes in first-seen order.  Over several columns a set of
+    the fused keys tests distinctness first; only a batch that repeats
+    a row builds the first-occurrence map (a dict over the reversed
+    keys: later writes win, so it keeps each key's *first* index).
+    Also returns the surviving rows' fused keys so the caller can
+    pre-seed the output batch's key cache (set operators downstream
+    then skip re-fusing the very columns this just hashed).
     """
+    if len(columns) == 1:
+        distinct = list(dict.fromkeys(columns[0]))
+        if len(distinct) == n:
+            return columns, n, columns[0]
+        return [distinct], len(distinct), distinct
     keys = fuse(columns, range(len(columns)), n, base)
-    last = n - 1
-    first = {k: last - i for i, k in enumerate(reversed(keys))}
-    if len(first) == n:
+    if len(set(keys)) == n:
         return columns, n, keys
+    first = dict(zip(reversed(keys), range(n - 1, -1, -1)))
     sel = sorted(first.values())
     return ([gather(col, sel) for col in columns], len(sel),
             gather(keys, sel))
@@ -185,8 +198,9 @@ def _filter_common_child(union: Union) -> Optional[Plan]:
 
     Accepts Select / SemiJoin / AntiJoin / Difference parts whose
     (left) input is the *same node object* (the compiler emits shared
-    DAGs, and the executor memoizes by identity) and whose columns pass
-    through unchanged; returns ``None`` for any other shape.
+    DAGs, and the executor memoizes by identity) and whose columns,
+    like the union's, pass through unchanged; returns ``None`` for any
+    other shape.
     """
     common: Optional[Plan] = None
     for part in union.parts:
@@ -203,7 +217,19 @@ def _filter_common_child(union: Union) -> Optional[Plan]:
             common = child
         elif child is not common:
             return None
+    if common is None or union.cols != common.cols:
+        return None
     return common
+
+
+def _probe_positions(left: Sequence, right: Sequence) -> Tuple[
+        Tuple[int, ...], Tuple[int, ...]]:
+    """The left and right positions of the columns ``left`` and
+    ``right`` share, in left order: what a semi/anti-join compares."""
+    rcols = set(right)
+    shared = [c for c in left if c in rcols]
+    return (tuple(left.index(c) for c in shared),
+            tuple(right.index(c) for c in shared))
 
 
 def _member_sel(keys: Sequence[int], members: Set[int],
@@ -218,6 +244,25 @@ def _member_sel(keys: Sequence[int], members: Set[int],
     if not keep:
         mask = map(op_not, mask)
     return list(compress(count(), mask))
+
+
+def _unfuse(keys: Iterable[int], width: int, radix: int,
+            values: Sequence) -> List[Row]:
+    """The value rows behind fused keys of ``width`` columns.
+
+    Codes are append-only, so a key fused under ``radix`` at any
+    earlier version still names the same values.
+    """
+    rows = []
+    for key in keys:
+        row = []
+        for _ in range(width - 1):
+            key, code = divmod(key, radix)
+            row.append(values[code])
+        row.append(values[key])
+        row.reverse()
+        rows.append(tuple(row))
+    return rows
 
 
 class VectorExecutor:
@@ -433,88 +478,101 @@ class VectorExecutor:
             return child
         return child.select(sel)
 
-    def _filter_mask(self, part: Plan,
+    def _select_mask(self, part: Select,
                      child: ColumnarRelation) -> List[bool]:
-        """The boolean row mask a filter node keeps over ``child``.
-
-        ``part`` must be one of the shapes :func:`_filter_common_child`
-        accepted: a Select / SemiJoin / AntiJoin / Difference whose
-        (left) input *is* the plan behind ``child``.  Masks compose the
-        disjunctive union fold — every map here is a C-level pass.
-        """
-        tp = type(part)
+        """The boolean row mask a Select part of a union fold keeps
+        over ``child`` (the plan behind it); every map is a C-level
+        pass."""
         n = child.length
-        if tp is Select:
-            mask: Optional[List[bool]] = None
-            encode = self.store.dictionary.encode
-            for lhs, rhs, equal in part.conds:
-                lkind, lpay = lhs
-                rkind, rpay = rhs
-                if lkind == "col" and rkind == "col":
-                    cond = list(map(op_eq if equal else op_ne,
-                                    child.column(lpay),
-                                    child.column(rpay)))
-                elif lkind == "col" or rkind == "col":
-                    col = child.column(lpay) if lkind == "col" \
-                        else child.column(rpay)
-                    code = encode(rpay if lkind == "col" else lpay)
-                    test = code.__eq__ if equal else code.__ne__
-                    cond = list(map(test, col))
-                else:
-                    if (lpay == rpay) is not equal:
-                        return [False] * n
-                    continue  # tautology constrains nothing
-                mask = cond if mask is None else list(map(op_and, mask,
-                                                          cond))
-            return mask if mask is not None else [True] * n
-        if tp is Difference:
-            right = self.run(part.right)
-            # Base must be read *after* running the right side: that run
-            # may encode fresh values, and fusing with a base smaller
-            # than the dictionary makes distinct key tuples collide.
-            base = self._base()
-            positions: Sequence[int] = range(child.width)
-            rset = set(right.fused(positions, base))
-            return list(map(op_not, map(rset.__contains__,
-                                        child.fused(positions, base))))
-        # SemiJoin / AntiJoin
-        right = self.run(part.right)
-        base = self._base()
-        rcols = set(part.right.cols)
-        shared = [c for c in part.left.cols if c in rcols]
-        lpos = [part.left.cols.index(c) for c in shared]
-        rpos = [part.right.cols.index(c) for c in shared]
-        rset = set(right.fused(rpos, base))
-        kept = map(rset.__contains__, child.fused(lpos, base))
-        if tp is AntiJoin:
-            return list(map(op_not, kept))
-        return list(kept)
+        mask: Optional[List[bool]] = None
+        encode = self.store.dictionary.encode
+        for lhs, rhs, equal in part.conds:
+            lkind, lpay = lhs
+            rkind, rpay = rhs
+            if lkind == "col" and rkind == "col":
+                cond = list(map(op_eq if equal else op_ne,
+                                child.column(lpay),
+                                child.column(rpay)))
+            elif lkind == "col" or rkind == "col":
+                col = child.column(lpay) if lkind == "col" \
+                    else child.column(rpay)
+                code = encode(rpay if lkind == "col" else lpay)
+                test = code.__eq__ if equal else code.__ne__
+                cond = list(map(test, col))
+            else:
+                if (lpay == rpay) is not equal:
+                    return [False] * n
+                continue  # tautology constrains nothing
+            mask = cond if mask is None else list(map(op_and, mask, cond))
+        return mask if mask is not None else [True] * n
 
-    def _union_filter_batch(self, plan: Union) -> Optional[ColumnarRelation]:
-        """The disjunctive-filter fold of a union, or ``None``.
+    def _union_filter_batch(self, plan: Union,
+                            common: Plan) -> ColumnarRelation:
+        """The disjunctive-filter fold of a union over ``common``.
 
         When every part of the union is a row filter — Select,
         SemiJoin, AntiJoin or Difference — over the *same shared child
-        node*, the union equals the child filtered by the OR of the
-        parts' masks: each part keeps a subset of one distinct row set,
-        so no concatenation and no re-deduplication is needed.  This is
-        the shape every ``forall``-guard rewriting lowers to (several
-        guards over one candidate join), where the naive path would
-        materialize the join output once per guard.
+        node* (:func:`_filter_common_child`), the union equals the
+        child filtered by the OR of the parts: each part keeps a subset
+        of one distinct row set, so no concatenation and no
+        re-deduplication is needed.  This is the shape every
+        ``forall``-guard rewriting lowers to (several guards over one
+        candidate join), where the naive path would materialize the
+        join output once per guard.  SemiJoin parts that probe the same
+        child columns merge their right sides' keys into one set, so
+        the child's keys pass through one membership test per group,
+        and the parts' masks combine lazily in one pass.
+
+        The parts never run as nodes of their own.  Under a profile
+        each gets the inclusive time of the right side it ran (the
+        first also that of the shared child), so the union's self time
+        is the probe alone.
         """
-        common = _filter_common_child(plan)
-        if common is None or plan.cols != common.cols:
-            return None
+        profile = self._profile
+        t0 = perf_counter()
         child = self.run(common)
         if child.length == 0:
             return child
-        combined: Optional[List[bool]] = None
+        rights: List[Optional[ColumnarRelation]] = []
         for part in plan.parts:
-            mask = self._filter_mask(part, child)
-            combined = mask if combined is None else list(map(op_or,
-                                                              combined,
-                                                              mask))
-        assert combined is not None
+            rights.append(None if type(part) is Select
+                          else self.run(part.right))
+            if profile is not None:
+                t1 = perf_counter()
+                profile.stats_for(part).seconds += t1 - t0
+                t0 = t1
+        # The radix is read *after* every right side ran: a run may
+        # encode fresh values, and fusing with a radix below the
+        # dictionary size makes distinct key tuples collide.
+        base = self._base()
+        probes: Dict[Tuple[int, ...], Set[int]] = {}
+        masks: List[Iterable[bool]] = []
+        for part, right in zip(plan.parts, rights):
+            tp = type(part)
+            if right is None:
+                masks.append(self._select_mask(part, child))
+                continue
+            if tp is Difference:
+                lpos = rpos = tuple(range(child.width))
+            else:
+                lpos, rpos = _probe_positions(part.left.cols,
+                                              part.right.cols)
+            rkeys = right.fused(rpos, base)
+            if tp is SemiJoin:
+                merged = probes.get(lpos)
+                if merged is None:
+                    probes[lpos] = set(rkeys)
+                else:
+                    merged.update(rkeys)
+            else:
+                rset = set(rkeys)
+                masks.append(map(op_not, map(rset.__contains__,
+                                             child.fused(lpos, base))))
+        for lpos, members in probes.items():
+            masks.append(map(members.__contains__, child.fused(lpos, base)))
+        combined = masks[0]
+        for mask in masks[1:]:
+            combined = map(op_or, combined, mask)
         sel = list(compress(count(), combined))
         if len(sel) == child.length:
             return child
@@ -539,22 +597,35 @@ class VectorExecutor:
             # join into a semi-join — pi(L join R) = pi(L semijoin R)
             # when every kept column comes from L — so the (possibly
             # quadratic) match output is never materialized, just a
-            # selection vector over the surviving side.
+            # selection vector over the surviving side.  The join never
+            # runs as a node; a profile charges it the semi-join's time.
             for side, other in ((inner.left, inner.right),
                                 (inner.right, inner.left)):
                 if all(v in side.cols for v in plan.cols):
+                    t0 = perf_counter()
                     child = self._semi_between(side, other, True)
+                    if self._profile is not None:
+                        self._profile.stats_for(inner).seconds += \
+                            perf_counter() - t0
                     positions = tuple(side.cols.index(v) for v in plan.cols)
                     return self._narrow(plan.cols, child, positions)
         if type(inner) is Union:
-            folded = self._union_filter_batch(inner)
-            if folded is not None:
-                return self._narrow(plan.cols, folded, plan.positions)
+            if _filter_common_child(inner) is not None:
+                # The fold runs as the union node, so a profile records
+                # it under its own operator.
+                return self._narrow(plan.cols, self.run(inner),
+                                    plan.positions)
             # Projection distributes over union: concatenate the parts'
             # projected columns and deduplicate once, instead of
             # deduplicating the full-width union first and the narrowed
-            # projection again.
+            # projection again.  The union never runs as a node of its
+            # own: a profile records it over its parts' runs, with their
+            # rows before the projection deduplicates.
+            t0 = perf_counter()
             parts = [self.run(part) for part in inner.parts]
+            if self._profile is not None:
+                self._profile.record(inner, perf_counter() - t0,
+                                     sum(b.length for b in parts))
             nonempty = [b for b in parts if b.length]
             if not nonempty:
                 return ColumnarRelation.empty(plan.cols)
@@ -636,10 +707,7 @@ class VectorExecutor:
         if left.length == 0:
             return left
         right = self.run(right_plan)
-        rcols = set(right_plan.cols)
-        shared = [c for c in left_plan.cols if c in rcols]
-        lpos = [left_plan.cols.index(c) for c in shared]
-        rpos = [right_plan.cols.index(c) for c in shared]
+        lpos, rpos = _probe_positions(left_plan.cols, right_plan.cols)
         base = self._base()
         rset = set(right.fused(rpos, base))
         lkeys = left.fused(lpos, base)
@@ -671,9 +739,9 @@ class VectorExecutor:
         return left.select(sel)
 
     def _run_union(self, plan: Union) -> ColumnarRelation:
-        folded = self._union_filter_batch(plan)
-        if folded is not None:
-            return folded
+        common = _filter_common_child(plan)
+        if common is not None:
+            return self._union_filter_batch(plan, common)
         parts = [self.run(part) for part in plan.parts]
         nonempty = [b for b in parts if b.length]
         if not nonempty:
@@ -711,15 +779,65 @@ def columnar_rows(compiled, db: Database,
     """All answer rows of a compiled open query, batch-executed.
 
     The columnar counterpart of ``CompiledQuery.rows``: one
-    :class:`VectorExecutor` pass over the plan, decoded once at the
-    root.  Byte-identical to the tuple executor's answer set (the
-    parity suites and the benchmark digests assert it).
+    :class:`VectorExecutor` pass over the plan, decoded at the root
+    against the answer the store kept for this plan (see
+    :func:`_decode_answer`).  Byte-identical to the tuple executor's
+    answer set (the parity suites and the benchmark digests assert
+    it).
     """
     _STATS["runs"] += 1
     store = columnar_store(db)
     executor = VectorExecutor(db, compiled.constants, profile=profile,
                               store=store)
-    return executor.run(compiled.plan).to_rows(store.dictionary)
+    root = executor.run(compiled.plan)
+    return _decode_answer(store, compiled.plan, root, executor._base())
+
+
+def _decode_answer(store: ColumnarStore, plan: Plan, root: ColumnarRelation,
+                   radix: int) -> FrozenSet[Row]:
+    """The value rows of ``root``, the plan's answer batch.
+
+    The store keeps, per plan, the answer it last returned together
+    with the set of its rows' fused keys under ``radix``.  An equal key
+    set returns the kept answer itself.  Otherwise the kept answer
+    loses the rows of vanished keys and gains those of new keys, each
+    unfused and decoded on its own.  A full decode runs only when
+    there is nothing comparable kept (another radix, no columns), or
+    when more keys changed than half the new answer holds: past that,
+    copying the kept set and decoding the change costs about as much
+    as decoding everything.
+    """
+    width = root.width
+    if width == 0:
+        return root.to_rows(store.dictionary)
+    keys = frozenset(root.fused(range(width), radix))
+    kept = store.kept_answer(plan)
+    answer: Optional[FrozenSet[Row]] = None
+    if kept is not None and kept[0] == radix:
+        _, kept_keys, kept_rows = kept
+        if keys == kept_keys:
+            answer, decoded = kept_rows, 0
+        else:
+            added = keys - kept_keys
+            vanished = len(kept_keys) - (len(keys) - len(added))
+            decoded = len(added) + vanished
+            if 2 * decoded <= len(keys):
+                values = store.dictionary.values
+                answer = kept_rows
+                if vanished:
+                    answer = answer.difference(
+                        _unfuse(kept_keys - keys, width, radix, values))
+                if added:
+                    answer = answer.union(
+                        _unfuse(added, width, radix, values))
+    if answer is None:
+        answer = root.to_rows(store.dictionary)
+        decoded = len(answer)
+    else:
+        _STATS["answers_reused"] += 1
+    _STATS["answer_rows_decoded"] += decoded
+    store.keep_answer(plan, (radix, keys, answer))
+    return answer
 
 
 def columnar_holds(compiled, db: Database, profile=None) -> bool:

@@ -180,7 +180,8 @@ class TestStatsFlag:
         assert {"runs", "serial_fallbacks", "shards",
                 "workers"} <= set(payload["parallel"])
         assert {"runs", "boolean_probe_delegations", "decode_fallbacks",
-                "auto_routed"} <= set(payload["columnar"])
+                "auto_routed", "scan_cache_hits", "answers_reused",
+                "answer_rows_decoded"} <= set(payload["columnar"])
 
     def test_answers_stats_json_shape(self, capsys, poll_file):
         assert main(["answers", QA, "--free", "p", "--db", poll_file,

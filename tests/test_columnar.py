@@ -54,6 +54,7 @@ from repro.fo.plan import (
     Select,
     SemiJoin,
     Union,
+    plan_nodes,
 )
 from repro.obs.profile import PlanProfile
 from repro.obs.schema import validate
@@ -227,6 +228,23 @@ class TestVectorOperators:
         plan = Project(Scan(atom("R", [x], [y])), (y,))
         assert both(plan, db) == {(2,), (3,)}
 
+    @pytest.mark.parametrize("columns", [
+        [[5, 3, 5, 1, 3]],
+        [[5, 3, 5, 1, 3], [0, 1, 0, 1, 2]],
+        [[1, 2, 3]],
+        [[1, 1, 2], [0, 1, 0]],
+    ])
+    def test_dedup_keeps_first_occurrences_in_order(self, columns):
+        n = len(columns[0])
+        rows = list(zip(*columns))
+        expected = list(dict.fromkeys(rows))
+        deduped, m, keys = columnar_executor._dedup(columns, n, 8)
+        assert m == len(expected)
+        assert list(zip(*deduped)) == expected
+        assert list(keys) == list(fuse(deduped, range(len(deduped)), m, 8))
+        if m == n:
+            assert deduped is columns  # already distinct: no copy
+
     def test_literal(self):
         db = db_from({})
         both(Literal((), [()]), db)
@@ -370,7 +388,7 @@ class TestCompiledParity:
     def test_fuse_base_read_after_right_side_encodes(self):
         """Regression: the union-filter fold fused with a stale base.
 
-        ``_filter_mask`` captured ``base = len(dictionary)`` *before*
+        The fold captured ``base = len(dictionary)`` *before*
         running a guard's right side; that run encoded fresh values, so
         distinct key tuples collided under the too-small base and the
         guard kept a row it should not have (here: every method but
@@ -405,6 +423,40 @@ class TestCompiledParity:
         before = columnar_stats()["boolean_probe_delegations"]
         assert columnar_holds(compiled, db) == compiled.holds(db)
         assert columnar_stats()["boolean_probe_delegations"] == before + 1
+
+
+class TestProfileAttribution:
+    """Per-operator self time (inclusive minus the direct children's
+    inclusive, clamped at zero) must never count one stretch of work
+    twice.  ``perf_counter`` becomes a tick counter, so the times are
+    exact integers and the bound holds with no slack."""
+
+    @pytest.mark.parametrize("name", ["qa(p)", "qb(p)"])
+    def test_self_times_stay_within_the_root(self, name, monkeypatch):
+        ticks = iter(range(10**9))
+        monkeypatch.setattr(columnar_executor, "perf_counter",
+                            lambda: float(next(ticks)))
+        make_query, free = QUERIES[name]
+        db = random_poll_database(n_people=60, n_towns=6,
+                                  conflict_rate=0.5,
+                                  rng=random.Random(3))
+        oq = OpenQuery(make_query(), list(free))
+        compiled = plan_cache.get_or_compile(
+            _guarded_open_rewriting(oq), db, oq.free)
+        profile = PlanProfile()
+        assert columnar_rows(compiled, db, profile=profile) \
+            == compiled.rows(db)
+        nodes = list({id(node): node
+                      for node in plan_nodes(compiled.plan)}.values())
+        stats = profile.stats_for
+        self_sum = sum(
+            max(0.0, stats(node).seconds
+                - sum(stats(c).seconds for c in node.children()))
+            for node in nodes)
+        assert 0 < self_sum <= profile.total_seconds(compiled.plan)
+        unions = [node for node in nodes if type(node) is Union]
+        assert unions
+        assert all(stats(union).calls == 1 for union in unions)
 
 
 # ----------------------------------------------------------------------

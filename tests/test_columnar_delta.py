@@ -9,24 +9,36 @@ twice or misses one shows up as a duplicate or a missing row.  The
 contract tests pin what the fold must never do — touch arrays already
 handed out, encode at commit, fold columns encoded inside an open
 batch — and when it must give way to a full encode.
+
+The store also keeps each plan's last answer, and a read after a write
+patches it with the rows whose fused keys changed.  Those reads are
+checked against ``compiled`` too: after every step of an update
+stream, from four reader threads racing a writer, and through the
+counters that say how many rows a read decoded.
 """
 
 from __future__ import annotations
 
+import contextlib
+import random
 import sys
 import tempfile
 import threading
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.columnar import ValueDictionary, VectorExecutor, columnar_store, fuse
+from repro.columnar import (
+    ValueDictionary, VectorExecutor, columnar_stats, columnar_store, fuse)
 from repro.core.atoms import RelationSchema
 from repro.core.parser import parse_query
 from repro.core.terms import Variable
 from repro.cqa.certain_answers import OpenQuery, certain_answers
 from repro.db.database import Database
+from repro.fo.compile import plan_cache
 from repro.storage import PersistentDatabase
+from repro.workloads.generators import UpdateStreamParams, random_update_stream
+from repro.workloads.poll import random_poll_database
 
 SCHEMAS = (RelationSchema("Lives", 2, 1), RelationSchema("Born", 2, 1),
            RelationSchema("Likes", 2, 2), RelationSchema("Works", 3, 1))
@@ -36,9 +48,13 @@ ARITY = {s.name: s.arity for s in SCHEMAS}
 p, t, c = Variable("p"), Variable("t"), Variable("c")
 POLL_QA = OpenQuery(
     parse_query("Lives(p | t), not Born(p | t), not Likes(p, t)"), [p])
+POLL_QA_PT = OpenQuery(POLL_QA.query, [p, t])
 LIVES_NOT_BORN = OpenQuery(parse_query("Lives(p | t), not Born(p | t)"), [p])
 WORKS = OpenQuery(parse_query("Works(p | t, c), not Lives(p | t)"), [p, c])
-QUERIES = (POLL_QA, LIVES_NOT_BORN, WORKS)
+QUERIES = (POLL_QA, POLL_QA_PT, LIVES_NOT_BORN, WORKS)
+#: Re-read after every step by the kept-answer property: one
+#: single-column and one two-column answer.
+KEPT = (POLL_QA, POLL_QA_PT)
 
 
 def decoded_rows(store, db, relation):
@@ -123,12 +139,15 @@ INITIAL = st.lists(
 class Stream:
     """Applies drawn ops to one database, remembering deleted rows (for
     re-inserts) and minting fresh values, which grow the dictionary
-    across powers of two and so move the fused-key radix."""
+    across powers of two and so move the fused-key radix.  With
+    ``every_step`` the :data:`KEPT` answers are re-read after each
+    step, so each read patches the answer the one before it kept."""
 
-    def __init__(self, db):
+    def __init__(self, db, every_step=False):
         self.db = db
         self.deleted = []
         self.minted = 0
+        self.every_step = every_step
 
     def _record_deletes(self, relation, rows):
         self.deleted.extend((relation, row) for row in rows
@@ -180,7 +199,15 @@ class Stream:
                         self.apply(op)
                 if read_after:
                     check_read(self.db)
+            if self.every_step:
+                check_answers(self.db)
         check_read(self.db)
+
+
+def check_answers(db):
+    for oq in KEPT:
+        assert (certain_answers(oq, db, "columnar")
+                == certain_answers(oq, db, "compiled"))
 
 
 def seeded(db, initial):
@@ -196,6 +223,32 @@ def seeded(db, initial):
 @settings(max_examples=40, deadline=None)
 def test_fold_matches_compiled_in_memory(initial, steps):
     Stream(seeded(Database(), initial)).run(steps, reopen=lambda: None)
+
+
+def single(kind, relation, arg=None):
+    return ("single", (kind, relation, arg), False)
+
+
+@given(initial=INITIAL, steps=STEPS)
+# The union fold once read the fuse radix before its right sides ran,
+# and a guard kept (0,) where compiled answered {}.
+@example(initial=[("Lives", (0, 2)), ("Born", (0, 1)), ("Likes", (0, 2))],
+         steps=[])
+# An answer that empties and refills: emptying it and its first row
+# back are deltas above half the new answer, so both decode in full.
+@example(initial=[("Lives", (1, 2)), ("Lives", (2, 3))],
+         steps=[single("clear", "Lives"), single("readd", "Lives", 0),
+                single("readd", "Lives", 1)])
+# Patches, then a one-row change across a dictionary that crossed a
+# power of two (the radix moved: a full decode), then patches again.
+@example(initial=[("Lives", (1, 2)), ("Lives", (2, 3)), ("Lives", (3, 4))],
+         steps=[single("fresh", "Lives", 9), single("fresh", "Lives", 4),
+                single("fresh", "Lives", 1), single("fresh", "Lives", 1),
+                single("fresh", "Lives", 1)])
+@settings(max_examples=40, deadline=None)
+def test_kept_answers_match_compiled_after_every_step(initial, steps):
+    Stream(seeded(Database(), initial), every_step=True).run(
+        steps, reopen=lambda: None)
 
 
 @given(initial=INITIAL, steps=STEPS)
@@ -424,3 +477,188 @@ def test_columns_encoded_in_a_batch_are_not_queued_for():
     assert "Lives" not in store._pending
     check_read(db)
     assert "Lives" not in store._slots  # re-encoded, not folded
+
+
+# ----------------------------------------------------------------------
+# kept answers: what a read after a write decodes
+# ----------------------------------------------------------------------
+
+
+def poll_db(seed, people):
+    rng = random.Random(seed)
+    db = random_poll_database(rng=rng, n_people=people,
+                              n_towns=max(4, people // 20))
+    return db, rng
+
+
+def apply_batch(db, batch):
+    with db.batch():
+        for insert, relation, row in batch:
+            if insert:
+                db.add(relation, row)
+            else:
+                db.discard(relation, row)
+
+
+def test_one_batch_decodes_only_the_rows_it_changed():
+    db, rng = poll_db(7, 300)
+    batch = random_update_stream(
+        db, UpdateStreamParams(n_batches=1, batch_size=20,
+                               delete_fraction=0.4), rng)[0]
+    before = {oq: certain_answers(oq, db, "columnar") for oq in KEPT}
+    apply_batch(db, batch)
+    changed = 0
+    for oq in KEPT:
+        stats = columnar_stats()
+        after = certain_answers(oq, db, "columnar")
+        assert after == certain_answers(oq, db, "compiled")
+        delta = len(before[oq] ^ after)
+        assert 2 * delta <= len(after)  # small enough to patch
+        now = columnar_stats()
+        assert now["answer_rows_decoded"] - stats["answer_rows_decoded"] \
+            <= delta
+        assert now["answers_reused"] == stats["answers_reused"] + 1
+        changed += delta
+    assert changed  # the batch did change an answer
+
+
+def test_unchanged_answer_is_the_kept_object():
+    db, _ = poll_db(3, 120)
+    first = certain_answers(POLL_QA_PT, db, "columnar")
+    db.add("Born", ("nobody", "nowhere"))  # touches no answer row
+    stats = columnar_stats()
+    assert certain_answers(POLL_QA_PT, db, "columnar") is first
+    now = columnar_stats()
+    assert now["answer_rows_decoded"] == stats["answer_rows_decoded"]
+    assert now["answers_reused"] == stats["answers_reused"] + 1
+
+
+def test_radix_crossing_between_reads_decodes_afresh():
+    # Codes x=0, a=1 under radix 4 fuse the kept row (a, x) to
+    # 1*4 + 0.  The write brings y in as code 4, the radix moves to 8,
+    # and the new row (x, y) fuses to 0*8 + 4: the same key names
+    # another row, so the kept answer must not stand for it.
+    db = Database(SCHEMAS)
+    store = columnar_store(db)
+    for value in ("x", "a", "unused-2"):
+        store.dictionary.encode(value)
+    db.add("Lives", ("a", "x"))
+    check_answers(db)
+    assert VectorExecutor(db)._base() == 4
+    store.dictionary.encode("unused-3")
+    with db.batch():
+        db.discard("Lives", ("a", "x"))
+        db.add("Lives", ("x", "y"))
+    stats = columnar_stats()
+    assert certain_answers(POLL_QA_PT, db, "columnar") == {("x", "y")}
+    assert certain_answers(POLL_QA_PT, db, "compiled") == {("x", "y")}
+    assert store.dictionary.code_of("y") == 4
+    assert VectorExecutor(db)._base() == 8
+    now = columnar_stats()
+    assert now["answers_reused"] == stats["answers_reused"]
+    assert now["answer_rows_decoded"] == stats["answer_rows_decoded"] + 1
+    db.add("Lives", ("b", "z"))
+    check_answers(db)  # patches again under the new radix
+    assert columnar_stats()["answers_reused"] > now["answers_reused"]
+
+
+def test_kept_answers_are_bounded_by_the_plan_cache(monkeypatch):
+    monkeypatch.setattr(plan_cache, "maxsize", 2)
+    db, _ = poll_db(2, 40)
+    store = columnar_store(db)
+    for oq in (POLL_QA, POLL_QA_PT, LIVES_NOT_BORN, WORKS):
+        certain_answers(oq, db, "columnar")
+    assert len(store._answers) == 2
+
+
+class RWLock:
+    """Readers share, a writer excludes them and waits for none that
+    arrive after it (the shape of ``repro serve``'s lock)."""
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._readers = 0
+        self._waiting = 0
+        self._writing = False
+
+    @contextlib.contextmanager
+    def reading(self):
+        with self._cond:
+            self._cond.wait_for(lambda: not (self._writing
+                                             or self._waiting))
+            self._readers += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._readers -= 1
+                self._cond.notify_all()
+
+    @contextlib.contextmanager
+    def writing(self):
+        with self._cond:
+            self._waiting += 1
+            self._cond.wait_for(lambda: not (self._writing
+                                             or self._readers))
+            self._waiting -= 1
+            self._writing = True
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._writing = False
+                self._cond.notify_all()
+
+
+def test_readers_racing_a_writer_see_committed_answers():
+    db, rng = poll_db(11, 200)
+    batches = random_update_stream(
+        db, UpdateStreamParams(n_batches=25, batch_size=20,
+                               delete_fraction=0.4), rng)
+    replica = db.copy()
+    expected = [{oq: certain_answers(oq, replica, "compiled")
+                 for oq in KEPT}]
+    for batch in batches:
+        apply_batch(replica, batch)
+        expected.append({oq: certain_answers(oq, replica, "compiled")
+                         for oq in KEPT})
+    lock = RWLock()
+    version = [0]
+    done = threading.Event()
+    seen = []
+
+    def reader(oq):
+        while True:
+            last = done.is_set()
+            with lock.reading():
+                at = version[0]
+                got = certain_answers(oq, db, "columnar")
+            seen.append((oq, at, got))
+            if last:
+                return
+
+    def writer():
+        for batch in batches:
+            with lock.writing():
+                apply_batch(db, batch)
+                version[0] += 1
+        done.set()
+
+    reused = columnar_stats()["answers_reused"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, args=(KEPT[i % 2],))
+                   for i in range(4)]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({at for _, at, _ in seen}) > 2  # reads spanned versions
+    assert columnar_stats()["answers_reused"] > reused  # and kept answers
+    for oq, at, got in seen:
+        assert got == expected[at][oq], (oq.free, at)
