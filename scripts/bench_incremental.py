@@ -204,8 +204,8 @@ def main(argv):
             "batches.",
             "Guarded rewritings compile without active-domain "
             "operators; fallback_recomputes is asserted 0 here. Plans "
-            "that do use Adom* operators recompute dirty subtrees and "
-            "would not see these speedups.",
+            "that do use Adom* operators re-execute on every commit "
+            "and would not see these speedups.",
             "The smallest point of each series is cross-checked "
             "against full recompute after every batch; larger points "
             "on final state (per-step agreement is property-tested in "

@@ -16,8 +16,9 @@ this package checks the artifacts the engine derives from them:
 * :mod:`repro.analysis.rules` — the QP100-series performance rule
   registry, reusing the linter's Diagnostic/RuleInfo machinery:
   static warnings for guaranteed parallel serial fallbacks, Adom*
-  view recomputes, cartesian products, bad join orders, brute-force
-  routing of non-FO queries, and plan-cache-unfriendly constants.
+  plans only the row executor runs, cartesian products, bad join
+  orders, brute-force routing of non-FO queries, and
+  plan-cache-unfriendly constants.
 * :mod:`repro.analysis.report` — ``analyze_text``/``analyze_query``
   building the unified :class:`AnalysisReport` behind the
   ``repro analyze`` CLI (text/JSON/GitHub-annotation renderings,

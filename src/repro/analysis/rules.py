@@ -13,13 +13,11 @@ code      severity  meaning
 QP100     error     compiled plan fails the IR verifier (engine bug)
 QP101     info      Boolean query: parallel execution falls back serial
 QP102     warning   no answer variable at a key position: cannot shard
-QP103     warning   plan touches Adom*: parallel refuses the plan
-QP104     info      plan touches Adom*: incremental views recompute
+QP103     warning   plan touches Adom*: only the row executor runs it
 QP105     warning   cartesian product in the compiled plan
 QP106     warning   join order ≥ X times the estimated best order
 QP107     warning   not in FO: certainty runs the brute-force path
 QP108     hint      constants in the query defeat plan-cache reuse
-QP109     warning   plan touches Adom*: columnar decodes to tuples
 QP111     warning   WAL grew past the checkpoint threshold uncompacted
 QP112     hint      constants/DDL defeat the SQL statement cache
 ========  ========  =====================================================
@@ -222,48 +220,27 @@ def check_no_shard_variable(
 
 @qp_rule(
     "QP103",
-    "parallel-adom-fallback",
+    "adom-row-executor",
     Severity.WARNING,
-    "compiled plan touches the active domain: parallel execution "
-    "refuses it",
-    "repro.parallel.executor: shards see a smaller active domain, so "
-    "Adom* plans are not shard-local",
+    "compiled plan touches the active domain: only the row executor "
+    "evaluates it",
+    "repro.fo.plan.Executor is the one evaluator of AdomProduct, "
+    "AdomGuard and AdomEq; every other backend hands such a plan to it",
 )
-def check_adom_parallel(
+def check_adom_plan(
     info: RuleInfo, ctx: AnalysisContext
 ) -> Iterator[Diagnostic]:
-    if ctx.plan is None or not ctx.free:
+    if ctx.plan is None or not plan_uses_adom(ctx.plan):
         return
-    if not plan_uses_adom(ctx.plan):
-        return
+    parallel = ("method=parallel falls back to serial (fallback reason "
+                "\"plan-touches-adom\"), " if ctx.free else "")
     yield info.diagnostic(
-        "compiled plan contains Adom* operators: method=parallel will "
-        "fall back to serial (fallback reason \"plan-touches-adom\")",
+        "compiled plan contains Adom* operators, which only the row "
+        f"executor evaluates: {parallel}method=columnar and method=sql "
+        "hand the plan to it, and an incremental view on this query "
+        "re-executes it on every commit",
         fix="guard every negated atom's variables by positive atoms so "
             "the compiler never reaches for the active domain",
-    )
-
-
-@qp_rule(
-    "QP104",
-    "view-adom-recompute",
-    Severity.INFO,
-    "compiled plan touches the active domain: incremental views "
-    "recompute instead of applying deltas",
-    "repro.incremental.views: Adom* subtrees are marked dirty on any "
-    "domain change and recomputed from scratch",
-)
-def check_adom_views(
-    info: RuleInfo, ctx: AnalysisContext
-) -> Iterator[Diagnostic]:
-    if ctx.plan is None:
-        return
-    if not plan_uses_adom(ctx.plan):
-        return
-    yield info.diagnostic(
-        "compiled plan contains Adom* operators: incremental views on "
-        "this query take the recompute-from-dirty-subtree escape hatch "
-        "whenever the active domain changes",
     )
 
 
@@ -389,33 +366,6 @@ def check_plan_cache(
         f"constant value compiles and caches a separate plan",
         fix="for parameter sweeps over many constants, prefer a free "
             "variable plus a post-filter to reuse one compiled plan",
-    )
-
-
-@qp_rule(
-    "QP109",
-    "columnar-decode-fallback",
-    Severity.WARNING,
-    "compiled plan touches the active domain: the columnar backend "
-    "decodes those nodes to tuples",
-    "repro.columnar.executor: Adom* nodes enumerate the active domain, "
-    "which no encoded column carries, so the vectorized executor runs "
-    "them row-at-a-time and re-encodes the result",
-)
-def check_columnar_decode(
-    info: RuleInfo, ctx: AnalysisContext
-) -> Iterator[Diagnostic]:
-    if ctx.plan is None:
-        return
-    if not plan_uses_adom(ctx.plan):
-        return
-    yield info.diagnostic(
-        "compiled plan contains Adom* operators: method=columnar "
-        "evaluates them through the row executor and re-encodes the "
-        "result (decode_fallbacks in the profile), and method=auto "
-        "never routes such plans to the columnar backend",
-        fix="guard every negated atom's variables by positive atoms so "
-            "the compiler never reaches for the active domain",
     )
 
 

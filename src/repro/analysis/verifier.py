@@ -65,10 +65,9 @@ __all__ = [
     "verify_plan",
 ]
 
-#: Node types whose execution touches the active domain.  The parallel
-#: executor refuses to shard such plans and the incremental delta
-#: engine maintains them through the recompute-from-dirty-subtree
-#: escape hatch, so the verifier marks them in its report.
+#: Node types whose execution touches the active domain.  Only the row
+#: executor evaluates them: every other backend hands a plan holding
+#: one to it, so the verifier marks such plans in its report.
 ADOM_NODES: Tuple[type, ...] = (AdomProduct, AdomGuard, AdomEq)
 
 

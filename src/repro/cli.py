@@ -154,25 +154,15 @@ def _not_in_fo_diagnostics(query_text: str, exc: NotInFO) -> str:
     return (f"error[QL004]: no consistent first-order rewriting: {exc}")
 
 
-def _columnar_explain(plan) -> str:
-    """The static vectorized view: one line per operator, annotated with
-    how the columnar backend executes it (batch vs decode fallback)."""
-    from .fo.plan import AdomEq, AdomGuard, AdomProduct
-
-    lines: List[str] = []
-
-    def walk(node, depth: int) -> None:
-        cols = ", ".join(v.name for v in node.cols)
-        if isinstance(node, (AdomProduct, AdomGuard, AdomEq)):
-            mode = "decode-to-tuples fallback (QP109)"
-        else:
-            mode = "batch"
-        lines.append("  " * depth + f"{node.label()}  -> [{cols}]  [{mode}]")
-        for child in node.children():
-            walk(child, depth + 1)
-
-    walk(plan, 0)
-    return "\n".join(lines)
+def _columnar_mode(compiled) -> str:
+    """How ``method="columnar"`` runs this compiled query, in one line."""
+    if not compiled.free:
+        return ("columnar: sentence, handed to the row executor's "
+                "short-circuit probe")
+    if compiled.uses_adom:
+        return ("columnar: Adom* plan, handed to the row executor "
+                "(QP103)")
+    return "columnar: batch plan, every operator runs on int columns"
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -217,10 +207,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
             return 1
     if not args.analyze:
         print(f"plan: {n_nodes} operators, output columns: {cols}")
+        print(compiled.explain())
         if args.columnar:
-            print(_columnar_explain(compiled.plan))
-        else:
-            print(compiled.explain())
+            print(_columnar_mode(compiled))
         return 0
     import json
 
@@ -243,7 +232,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         return 0
     # --columnar --analyze: run the vectorized backend alongside the
     # row-at-a-time one and show both operator profiles (the columnar
-    # side carries the batches / decode_fallbacks counters).
+    # side carries the batches counters, or decode_fallbacks on the
+    # root of a plan it handed to the row executor).
     from .columnar import columnar_holds, columnar_rows
 
     col_profile = PlanProfile()
@@ -786,9 +776,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the plan-IR verifier (codes PV001-PV013, "
                         "see docs/ANALYSIS.md) on the compiled plan")
     p.add_argument("--columnar", action="store_true",
-                   help="show the vectorized (batch) operator view; with "
-                        "--analyze, run both executors and print the "
-                        "row-at-a-time and columnar profiles side by side")
+                   help="also say how the columnar backend runs the "
+                        "plan; with --analyze, run both executors and "
+                        "print the row-at-a-time and columnar profiles "
+                        "side by side")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("certain", help="answer CERTAINTY(q) on a database")

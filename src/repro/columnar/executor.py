@@ -21,16 +21,17 @@ of row-at-a-time over Python tuples:
   kept columns are all of one source's, through one index vector,
   selects that source's rows instead of deduplicating.
 
-Two deliberate delegations to the row executor (the oracle):
+Two kinds of plan are handed whole to the row executor (the oracle):
 
 * **Boolean plans** keep the probe-mode short-circuit: materializing
   every batch to answer "is it non-empty?" would undo the PR 4 win, so
   :meth:`VectorExecutor.nonempty` hands the sentence to the row
   executor's sideways-information-passing probe path.
-* **Adom\\* nodes** (``AdomProduct``/``AdomGuard``/``AdomEq``) decode to
-  tuples: they enumerate the active domain, which no column encodes.
-  Each such fallback ticks the ``decode_fallbacks`` profile counter and
-  is what performance rule QP109 warns about statically.
+* **Adom\\* plans** (any ``AdomProduct``/``AdomGuard``/``AdomEq`` node)
+  enumerate the active domain, which no column encodes:
+  :func:`columnar_rows` runs them on ``CompiledQuery.rows`` and ticks
+  ``decode_fallbacks``.  A :class:`VectorExecutor` given such a node
+  raises ``TypeError``.
 
 ``method="columnar"`` reaches this executor through
 :func:`columnar_rows`; ``method="auto"`` routes every open query here
@@ -54,9 +55,6 @@ from typing import (
 
 from ..db.database import Database
 from ..fo.plan import (
-    AdomEq,
-    AdomGuard,
-    AdomProduct,
     AntiJoin,
     Difference,
     Executor,
@@ -112,8 +110,8 @@ def columnar_stats() -> Dict[str, int]:
 
     ``runs`` (executions through the backend),
     ``boolean_probe_delegations`` (sentences handed to the row
-    executor's short-circuit probe), ``decode_fallbacks`` (Adom* nodes
-    evaluated row-at-a-time and re-encoded), ``auto_routed``
+    executor's short-circuit probe), ``decode_fallbacks`` (Adom* plans
+    handed to the row executor), ``auto_routed``
     (``method="auto"`` decisions for columnar), ``scan_cache_hits``
     (store-level scan results reused), ``answers_reused`` (answers
     built from the one the store kept for their plan, unchanged or
@@ -271,7 +269,7 @@ class VectorExecutor:
     The drop-in vectorized sibling of :class:`repro.fo.plan.Executor`:
     same memoization discipline (per-node by identity, structurally for
     scans), same ``profile`` protocol — plus the columnar-only
-    ``batches`` and ``decode_fallbacks`` counters.  Results are
+    ``batches`` counter.  Results are
     :class:`ColumnarRelation` batches holding dictionary codes; decode
     the root with the store's dictionary (or use :func:`columnar_rows`).
     """
@@ -283,7 +281,6 @@ class VectorExecutor:
         self._constants: Tuple = tuple(constants)
         self._memo: Dict[object, ColumnarRelation] = {}
         self._profile = profile
-        self._oracle: Optional[Executor] = None
 
     def run(self, plan: Plan) -> ColumnarRelation:
         if type(plan) is Scan:
@@ -322,15 +319,10 @@ class VectorExecutor:
         in :func:`columnar_stats`.
         """
         _STATS["boolean_probe_delegations"] += 1
-        return self._row_oracle().nonempty(plan)
+        return Executor(self.db, None, self._constants,
+                        self._profile).nonempty(plan)
 
     # ------------------------------------------------------------------
-
-    def _row_oracle(self) -> Executor:
-        if self._oracle is None:
-            self._oracle = Executor(self.db, None, self._constants,
-                                    self._profile)
-        return self._oracle
 
     def _dispatch(self, plan: Plan) -> ColumnarRelation:
         method = self._HANDLERS.get(type(plan))
@@ -425,21 +417,6 @@ class VectorExecutor:
 
     def _run_literal(self, plan: Literal) -> ColumnarRelation:
         return ColumnarRelation.from_rows(plan.cols, plan.rows,
-                                          self.store.dictionary)
-
-    def _run_fallback(self, plan: Plan) -> ColumnarRelation:
-        """Adom* nodes: run the row executor, re-encode the result.
-
-        The active domain is a property of the whole database, not of
-        any encoded column, so these nodes have no batch form; the
-        decode round-trip is counted (``decode_fallbacks``) and warned
-        about statically by QP109.
-        """
-        rows = self._row_oracle().run(plan)
-        _STATS["decode_fallbacks"] += 1
-        if self._profile is not None:
-            self._profile.count(plan, "decode_fallbacks")
-        return ColumnarRelation.from_rows(plan.cols, rows,
                                           self.store.dictionary)
 
     def _run_select(self, plan: Select) -> ColumnarRelation:
@@ -756,9 +733,6 @@ class VectorExecutor:
     _HANDLERS = {
         Scan: _run_scan,
         Literal: _run_literal,
-        AdomProduct: _run_fallback,
-        AdomGuard: _run_fallback,
-        AdomEq: _run_fallback,
         Select: _run_select,
         Project: _run_project,
         Join: _run_join,
@@ -783,9 +757,16 @@ def columnar_rows(compiled, db: Database,
     against the answer the store kept for this plan (see
     :func:`_decode_answer`).  Byte-identical to the tuple executor's
     answer set (the parity suites and the benchmark digests assert
-    it).
+    it).  A plan with an Adom* node has no batch form: it runs on
+    ``compiled.rows``, counted in ``decode_fallbacks`` (and, under
+    ``profile``, on the root node).
     """
     _STATS["runs"] += 1
+    if compiled.uses_adom:
+        _STATS["decode_fallbacks"] += 1
+        if profile is not None:
+            profile.count(compiled.plan, "decode_fallbacks")
+        return compiled.rows(db, profile=profile)
     store = columnar_store(db)
     executor = VectorExecutor(db, compiled.constants, profile=profile,
                               store=store)
@@ -862,12 +843,12 @@ def prefer_columnar(compiled, db: Database) -> bool:
 
     Three gates, cheapest first: the query must be open (a sentence
     runs on the row executor's short-circuit probe), its plan must be
-    free of Adom* nodes (their batch form is a decode fallback; QP109
-    reports this statically), and the database must carry at least
-    :data:`COLUMNAR_MIN_FACTS` facts.  Past that size columnar measured
-    at least as fast as the row executor on every open query, the
-    cheapest included, so no cost estimate is consulted and routing
-    never scans the database.
+    free of Adom* nodes (the columnar backend hands those plans to the
+    row executor; QP103 reports this statically), and the database
+    must carry at least :data:`COLUMNAR_MIN_FACTS` facts.  Past that
+    size columnar measured at least as fast as the row executor on
+    every open query, the cheapest included, so no cost estimate is
+    consulted and routing never scans the database.
     """
     if not compiled.free or compiled.uses_adom:
         return False

@@ -264,16 +264,49 @@ def _lower_not(sub: Formula) -> Plan:
     return Difference(base, positive)
 
 
+def _scan_under(plan: Plan) -> Optional[Scan]:
+    """The scan under a chain of projections, or ``None``."""
+    while type(plan) is Project:
+        plan = plan.child
+    return plan if type(plan) is Scan else None
+
+
+def _keeps_all(wide: Plan, narrow: Plan) -> bool:
+    """Is ``SemiJoin(wide, narrow)`` equal to ``wide``?
+
+    True when both are projections of scans over the same facts (same
+    relation and arity, same constants and repeated-variable checks)
+    and every column of ``narrow`` sits at the same atom position in
+    both atoms: the fact behind each row of ``wide`` then gives a
+    matching row of ``narrow``.  Rewritings produce this shape when a
+    guard re-checks values that another copy of its atom generated.
+    """
+    a, b = _scan_under(wide), _scan_under(narrow)
+    if a is None or b is None:
+        return False
+    if (a.atom.relation != b.atom.relation
+            or a.atom.schema.arity != b.atom.schema.arity
+            or a.consts != b.consts or a.eq_checks != b.eq_checks):
+        return False
+    apos = dict(zip(a.cols, a.proj))
+    bpos = dict(zip(b.cols, b.proj))
+    return all(apos[c] == bpos[c] for c in narrow.cols)
+
+
 def _combine(current: Optional[Plan], g: Plan) -> Plan:
-    """Conjoin a generator with the accumulated plan."""
+    """Conjoin a generator with the accumulated plan.
+
+    A side whose columns the other covers only filters it, and not even
+    that when it keeps every row (:func:`_keeps_all`).
+    """
     if current is None:
         return g
     if set(g.cols) <= set(current.cols):
-        return SemiJoin(current, g)
+        return current if _keeps_all(current, g) else SemiJoin(current, g)
     if set(current.cols) <= set(g.cols):
         # Join would emit exactly g's columns (current's rows are unique
         # on the shared columns), so filter g instead of pairing rows.
-        return SemiJoin(g, current)
+        return g if _keeps_all(g, current) else SemiJoin(g, current)
     return Join(current, g)
 
 

@@ -5,7 +5,7 @@ seeded lowering) of set-valued operators.  :class:`IncrementalPlan`
 materializes the output of *every* node once, then keeps all of them up
 to date under the row-level deltas a :class:`~repro.db.changelog.Changelog`
 carries — classic incremental view maintenance, specialized to the
-twelve operators of :mod:`repro.fo.plan`:
+relational operators of :mod:`repro.fo.plan`:
 
 ``Scan``/``Project``/``Union``
     maintain a derivation counter per output row (several base rows or
@@ -27,23 +27,23 @@ twelve operators of :mod:`repro.fo.plan`:
 ``Literal``
     never changes.
 
-``AdomProduct``/``AdomGuard``/``AdomEq`` depend on the active domain of
-the whole database, whose membership can shrink under deletion; they
-(and any operator without a delta rule) use the escape hatch instead:
-*recompute-from-dirty-subtree* — re-execute the node with a fresh
-:class:`~repro.fo.plan.Executor` and diff against its stored output, so
-maintenance stays correct for every plan the compiler can emit.  The
-``fallback_recomputes`` counter makes that path observable.
-
 Deltas propagate bottom-up in one pass per batch; clean subtrees (no
-dirty relation below, active domain untouched) are skipped entirely.
+dirty relation below) are skipped entirely.
+
+A plan with an ``Adom*`` node (``AdomProduct``/``AdomGuard``/``AdomEq``,
+which the compiler emits only for unguarded shapes) depends on the
+active domain of the whole database, which any fact can move.  Such a
+plan keeps only its root rows: every batch re-executes it on the row
+executor and diffs, counted in ``fallback_recomputes``.  Any other node
+type without a delta rule is refused with :class:`DeltaError` when the
+plan is built.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..analysis.verifier import ADOM_NODES
+from ..analysis.verifier import plan_uses_adom
 from ..db.changelog import Changelog
 from ..db.database import Database
 from ..fo.plan import (
@@ -68,7 +68,8 @@ _EMPTY: RowDelta = (frozenset(), frozenset())  # type: ignore[assignment]
 
 
 class DeltaError(RuntimeError):
-    """Raised when maintained state is found inconsistent (a bug)."""
+    """Raised when maintained state is found inconsistent (a bug), or
+    when a plan holds a node type without a delta rule."""
 
 
 def _apply_counted(
@@ -145,19 +146,6 @@ class _NodeState:
         self.emit = None
 
 
-class _NodeInfo:
-    """Static per-node facts: which relations the subtree reads, whether
-    it touches the active domain, and whether it must always recompute."""
-
-    __slots__ = ("relations", "uses_adom", "always_dirty")
-
-    def __init__(self, relations: FrozenSet[str], uses_adom: bool,
-                 always_dirty: bool):
-        self.relations = relations
-        self.uses_adom = uses_adom
-        self.always_dirty = always_dirty
-
-
 def _binary_keys(node) -> Tuple[Callable, Callable]:
     shared = node.shared
     lkey = _tuple_getter([node.left.cols.index(c) for c in shared])
@@ -168,25 +156,32 @@ def _binary_keys(node) -> Tuple[Callable, Callable]:
 class IncrementalPlan:
     """One materialized plan, maintained under changelog batches.
 
-    ``constants`` must be the compiled query's constant pool so fallback
-    re-executions see the same active domain as a fresh run.
+    ``constants`` must be the compiled query's constant pool so the
+    re-executions of an Adom* plan see the same active domain as a
+    fresh run.
     """
 
     def __init__(self, plan: Plan, db: Database, constants: Iterable = ()):
         self.plan = plan
         self.constants: Tuple = tuple(constants)
+        #: Does the plan depend on active-domain membership?  Then it
+        #: is re-executed on every batch instead of delta-maintained.
+        self.uses_adom = plan_uses_adom(plan)
         self.deltas_applied = 0
         self.rows_touched = 0
         self.fallback_recomputes = 0
-        self._info: Dict[int, _NodeInfo] = {}
+        self._relations: Dict[int, FrozenSet[str]] = {}
         self._state: Dict[int, _NodeState] = {}
         self._order: List[Plan] = []
         self._collect(plan, set())
-        self._materialize(db)
+        if self.uses_adom:
+            rows = Executor(db, None, self.constants).run(plan)
+            self._state[id(plan)] = _NodeState(set(rows))
+        else:
+            self._materialize(db)
         # Per-batch scratch, valid only inside apply():
         self._memo: Dict[int, RowDelta] = {}
         self._dirty: FrozenSet[str] = frozenset()
-        self._adom_changed = False
         self._db: Optional[Database] = None
         self._log: Optional[Changelog] = None
 
@@ -200,40 +195,20 @@ class IncrementalPlan:
         seen.add(id(node))
         for child in node.children():
             self._collect(child, seen)
-        kind = type(node)
-        relations: FrozenSet[str] = frozenset()
-        uses_adom = False
-        always_dirty = False
-        if kind is Scan:
+        if not self.uses_adom and type(node) not in self._DELTA_HANDLERS:
+            raise DeltaError(f"no delta rule for plan node {node!r}")
+        if type(node) is Scan:
             relations = frozenset((node.atom.relation,))
-        elif kind is Literal:
-            pass
-        elif kind in ADOM_NODES:
-            uses_adom = True
-        elif kind in _COMPOSITE:
-            for child in node.children():
-                info = self._info[id(child)]
-                relations |= info.relations
-                uses_adom = uses_adom or info.uses_adom
-                always_dirty = always_dirty or info.always_dirty
         else:
-            # Unknown operator: no delta rule and no dependency model —
-            # recompute it whenever anything at all changes.
-            for child in node.children():
-                relations |= self._info[id(child)].relations
-            always_dirty = True
-        self._info[id(node)] = _NodeInfo(relations, uses_adom, always_dirty)
+            relations = frozenset().union(
+                *(self._relations[id(child)] for child in node.children()))
+        self._relations[id(node)] = relations
         self._order.append(node)
-
-    @property
-    def uses_adom(self) -> bool:
-        """Does any node depend on active-domain membership?"""
-        return self._info[id(self.plan)].uses_adom
 
     @property
     def relations(self) -> FrozenSet[str]:
         """The database relations the plan reads."""
-        return self._info[id(self.plan)].relations
+        return self._relations[id(self.plan)]
 
     @property
     def rows(self) -> Set[Row]:
@@ -298,72 +273,53 @@ class IncrementalPlan:
     # delta application
     # ------------------------------------------------------------------
 
-    def apply(self, log: Changelog, db: Database,
-              adom_changed: bool = False) -> RowDelta:
+    def apply(self, log: Changelog, db: Database) -> RowDelta:
         """Propagate one committed batch; returns the net answer delta.
 
         Must be called for *every* commit on the database, in order,
         with ``db`` already in its post-commit state (exactly what a
-        changelog subscriber observes).  ``adom_changed`` reports
-        whether active-domain membership moved, net of this plan's
-        constant pool; callers without Adom* operators may pass False
-        unconditionally (see :attr:`uses_adom`).
+        changelog subscriber observes).  An Adom* plan (see
+        :attr:`uses_adom`) is re-executed and diffed instead.
         """
-        self._memo = {}
-        self._dirty = log.relations
-        self._adom_changed = adom_changed
-        self._db = db
-        self._log = log
-        try:
-            ins, dels = self._delta(self.plan)
-        finally:
-            self._db = None
-            self._log = None
+        if self.uses_adom:
+            self.fallback_recomputes += 1
+            new = Executor(db, None, self.constants).run(self.plan)
+            old = self.rows
+            result: RowDelta = (set(new - old), set(old - new))
+            self._update(self.plan, result)
+        else:
+            self._memo = {}
+            self._dirty = log.relations
+            self._db = db
+            self._log = log
+            try:
+                result = self._delta(self.plan)
+            finally:
+                self._db = None
+                self._log = None
         self.deltas_applied += 1
-        return ins, dels
-
-    def _is_dirty(self, node: Plan) -> bool:
-        info = self._info[id(node)]
-        return bool(
-            info.always_dirty
-            or (info.relations & self._dirty)
-            or (info.uses_adom and self._adom_changed)
-        )
+        return result
 
     def _delta(self, node: Plan) -> RowDelta:
         found = self._memo.get(id(node))
         if found is not None:
             return found
-        if not self._is_dirty(node):
-            result = _EMPTY
+        if self._relations[id(node)] & self._dirty:
+            result = self._DELTA_HANDLERS[type(node)](self, node)
         else:
-            handler = self._DELTA_HANDLERS.get(type(node))
-            if handler is None:
-                result = self._fallback(node)
-            else:
-                result = handler(self, node)
+            result = _EMPTY
         self._memo[id(node)] = result
-        ins, dels = result
-        if ins or dels:
-            state = self._state[id(node)]
-            state.rows.difference_update(dels)
-            state.rows.update(ins)
-            self.rows_touched += len(ins) + len(dels)
+        self._update(node, result)
         return result
 
-    def _fallback(self, node: Plan) -> RowDelta:
-        """Escape hatch: recompute the dirty subtree and diff.
-
-        Children are still delta-processed first so their own state
-        remains current for later batches; the recomputation itself
-        reads only the database.
-        """
-        for child in node.children():
-            self._delta(child)
-        self.fallback_recomputes += 1
-        new = Executor(self._db, None, self.constants).run(node)
-        old = self._state[id(node)].rows
-        return set(new - old), set(old - new)
+    def _update(self, node: Plan, delta: RowDelta) -> None:
+        """Fold a node's output delta into its stored rows."""
+        ins, dels = delta
+        if ins or dels:
+            rows = self._state[id(node)].rows
+            rows.difference_update(dels)
+            rows.update(ins)
+            self.rows_touched += len(ins) + len(dels)
 
     # -- per-operator delta rules --------------------------------------
 
@@ -535,8 +491,6 @@ class IncrementalPlan:
         SemiJoin: _d_semi_join,
         AntiJoin: _d_anti_join,
         Difference: _d_difference,
-        # AdomProduct / AdomGuard / AdomEq intentionally absent: they
-        # take the recompute-from-dirty-subtree escape hatch.
     }
 
     def stats(self) -> Dict[str, int]:
@@ -547,6 +501,3 @@ class IncrementalPlan:
             "fallback_recomputes": self.fallback_recomputes,
             "nodes": len(self._order),
         }
-
-
-_COMPOSITE = (Select, Project, Join, SemiJoin, AntiJoin, Union, Difference)

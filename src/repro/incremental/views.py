@@ -8,13 +8,13 @@ pushes every committed batch through each registered view's
 ``commit()`` (or any single mutation outside a batch), ``view.answers``
 is already up to date, without a full re-execution.
 
-The manager also maintains an occurrence counter over the active
-domain, because deletions can *shrink* it: a view whose plan contains
-active-domain operators is recomputed through the escape hatch whenever
-domain membership moves (net of the view's constant pool).  Guarded
+A commit that touches none of a view's relations skips the view.  A
+view whose plan contains active-domain operators is the exception: any
+fact can move the active domain, so the manager re-executes it on every
+commit and diffs the answers (``fallback_recomputes``).  Guarded
 rewritings — the common case — compile without Adom* operators and
 never take that path.  ``repro analyze`` flags queries that *will*
-take it before any view is built (rule QP104 in
+take it before any view is built (rule QP103 in
 :mod:`repro.analysis.rules`).
 
 Stats mirror the plan cache: per-manager :meth:`ViewManager.stats` and
@@ -187,11 +187,6 @@ class ViewManager:
         self.history_limit = history_limit
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._views: List[View] = []
-        self._adom_counts: Dict[object, int] = {}
-        for name in db.relations():
-            for row in db.facts(name):
-                for value in row:
-                    self._adom_counts[value] = self._adom_counts.get(value, 0) + 1
         self.commits_seen = 0
         db.subscribe(self._on_commit)
 
@@ -265,34 +260,6 @@ class ViewManager:
     # maintenance
     # ------------------------------------------------------------------
 
-    def _update_adom(self, log: Changelog) -> FrozenSet[object]:
-        """Fold a batch into the domain-occurrence counter; returns the
-        values whose active-domain membership flipped."""
-        flipped: Set[object] = set()
-        counts = self._adom_counts
-
-        def toggle(value: object) -> None:
-            # Net membership flip = odd number of 0↔positive transitions.
-            if value in flipped:
-                flipped.discard(value)
-            else:
-                flipped.add(value)
-
-        for delta in log.deltas.values():
-            for row in delta.deleted:
-                for value in row:
-                    counts[value] = counts.get(value, 0) - 1
-                    if counts[value] == 0:
-                        del counts[value]
-                        toggle(value)
-            for row in delta.inserted:
-                for value in row:
-                    before = counts.get(value, 0)
-                    counts[value] = before + 1
-                    if before == 0:
-                        toggle(value)
-        return frozenset(flipped)
-
     def _on_commit(self, log: Changelog) -> None:
         self.commits_seen += 1
         _GLOBAL.commits_seen += 1
@@ -302,20 +269,15 @@ class ViewManager:
         )
         with t.span("view-maintain", version=log.version) as span:
             span.count("delta_size", delta_size)
-            flipped = self._update_adom(log)
             for i, view in enumerate(self._views):
                 inc = view.incremental
-                adom_changed = bool(
-                    inc.uses_adom
-                    and any(v not in set(inc.constants) for v in flipped)
-                )
-                if not adom_changed and not (inc.relations & log.relations):
+                if not inc.uses_adom and not (inc.relations & log.relations):
                     view._version = log.version
                     span.count("views_skipped")
                     continue
                 before_touched = inc.rows_touched
                 before_fallback = inc.fallback_recomputes
-                ins, dels = inc.apply(log, self.db, adom_changed)
+                ins, dels = inc.apply(log, self.db)
                 touched = inc.rows_touched - before_touched
                 fallbacks = inc.fallback_recomputes - before_fallback
                 _GLOBAL.deltas_applied += 1

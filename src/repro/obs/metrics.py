@@ -49,8 +49,8 @@ class EngineMetrics:
         (``worker_plan_cache``, ``worker_rows``).
     ``views``
         Incremental maintenance: views registered, commits seen,
-        deltas applied, rows touched, fallback (dirty-subtree)
-        recomputes.
+        deltas applied, rows touched, fallback recomputes (Adom*
+        plans re-executed on a commit).
     ``extra``
         Any additionally registered sources, keyed by source name.
     """

@@ -40,8 +40,8 @@ __all__ = [
 
 #: Counter names carried per operator, in rendering order.  The last
 #: two are written only by the columnar backend: ``batches`` counts
-#: materializing batch executions, ``decode_fallbacks`` counts Adom*
-#: nodes that had to round-trip through the row executor (QP109).
+#: materializing batch executions, ``decode_fallbacks`` (on the root
+#: node) counts Adom* plans it handed to the row executor (QP103).
 COUNTER_NAMES = ("memo_hits", "index_hits", "rows_scanned",
                  "probe_calls", "probe_memo_hits", "batches",
                  "decode_fallbacks")

@@ -18,7 +18,6 @@ CLI), :func:`parallel_stats`, and :func:`shutdown_pools`.
 from .executor import (
     parallel_certain_answers,
     parallel_stats,
-    plan_has_adom,
     release_layouts,
     reset_parallel_stats,
 )
@@ -28,7 +27,6 @@ from .pool import PoolRegistry, admission_slots, pool_registry, shutdown_pools
 __all__ = [
     "parallel_certain_answers",
     "parallel_stats",
-    "plan_has_adom",
     "release_database",
     "release_layouts",
     "reset_parallel_stats",

@@ -36,7 +36,6 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..db.database import Database
 from ..fo.compile import plan_cache
-from ..fo.plan import Plan
 from ..obs.trace import NULL_TRACER
 from .partition import shard_database, shard_spec
 from .pool import fork_context, run_sharded, worker_pool
@@ -45,7 +44,6 @@ __all__ = [
     "parallel_certain_answers",
     "parallel_stats",
     "reset_parallel_stats",
-    "plan_has_adom",
 ]
 
 #: Below this many facts the parallel path falls back to serial
@@ -126,18 +124,6 @@ def parallel_stats() -> Dict[str, object]:
     return out
 
 
-def plan_has_adom(plan: Plan) -> bool:
-    """Does the plan contain any active-domain node?
-
-    Delegates to the generic ``children()``-based walk of the analysis
-    package, so new operator types are covered automatically (the old
-    per-type recursion here silently missed unknown nodes).
-    """
-    from ..analysis.verifier import plan_uses_adom
-
-    return plan_uses_adom(plan)
-
-
 def _fallback(open_query, db: Database, reason: str,
               tracer=NULL_TRACER) -> FrozenSet[Tuple]:
     from ..cqa.certain_answers import certain_answers
@@ -194,7 +180,7 @@ def parallel_certain_answers(
         return _fallback(open_query, db, "no-shard-variable", t)
     formula = _guarded_open_rewriting(open_query)
     compiled = plan_cache.get_or_compile(formula, db, open_query.free)
-    if plan_has_adom(compiled.plan):
+    if compiled.uses_adom:
         return _fallback(open_query, db, "plan-touches-adom", t)
 
     n_shards = max(2, n_jobs * max(1, shard_factor))

@@ -9,18 +9,16 @@ changelog, and :mod:`repro.storage.sqlgen` compiles the verified plan
 IR straight to one parameterized SELECT that sqlite executes
 end-to-end.  No per-call loading, no per-row Python decode: answer rows
 come back as dictionary codes and land in int columns
-(:meth:`ColumnarRelation.from_code_rows`).
+(:meth:`ColumnarRelation.from_code_rows`).  A plan with an ``Adom*``
+node enumerates the active domain, which the mirror does not keep: it
+runs on the row executor (``CompiledQuery.rows``/``holds``) instead.
 
-Mirror layout:
-
-* one INTEGER table per relation, columns ``c0..c{n-1}`` holding the
-  database's :class:`~repro.columnar.dictionary.ValueDictionary` codes,
-  with a full-tuple ``WITHOUT ROWID`` primary key (key columns first,
-  so the clustered index covers key-prefix lookups) plus a non-key
-  suffix index;
-* ``repro_adom`` — the refcounted active domain, maintained from the
-  same deltas, which is what lets ``Adom*`` plans push down instead of
-  re-deriving the domain per query.
+Mirror layout: one INTEGER table per relation, columns
+``c0..c{n-1}`` holding the database's
+:class:`~repro.columnar.dictionary.ValueDictionary` codes, with a
+full-tuple ``WITHOUT ROWID`` primary key (key columns first, so the
+clustered index covers key-prefix lookups) plus a non-key suffix
+index.
 
 The mirror is derived state and never touches disk: a persistent store
 keeps only its snapshots, WAL segments and view manifests, and a
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from typing import Dict, FrozenSet, Iterable, Tuple
 
 from ..columnar.dictionary import columnar_store
@@ -43,7 +41,7 @@ from ..columnar.relation import ColumnarRelation
 from ..db.changelog import Changelog
 from ..db.database import BatchError, Database
 from ..fo.sql import table_name
-from .sqlgen import ADOM_TABLE, compile_plan, plan_relations
+from .sqlgen import compile_plan, plan_relations
 from .stats import STATS
 
 __all__ = ["SQLiteMirror", "sql_mirror", "prefer_sql",
@@ -125,10 +123,7 @@ class SQLiteMirror:
     def _build(self) -> None:
         """Load every relation at the database's clock."""
         cur = self.conn.cursor()
-        cur.execute(f"CREATE TABLE {ADOM_TABLE} "
-                    "(code INTEGER PRIMARY KEY, refs INTEGER NOT NULL)")
         encode = self.dictionary.encode
-        adom: Counter = Counter()
         for name in self.db.schemas:
             self._create_table(cur, name)
         for name in self.db.relations():
@@ -136,26 +131,15 @@ class SQLiteMirror:
             placeholders = ", ".join("?" for _ in range(arity))
             coded = [tuple(encode(v) for v in row)
                      for row in self.db.facts(name)]
-            for row in coded:
-                adom.update(row)
             cur.executemany(
                 f"INSERT OR IGNORE INTO {table_name(name)} "
                 f"VALUES ({placeholders})", coded)
-        if adom:
-            cur.executemany(
-                f"INSERT INTO {ADOM_TABLE} VALUES (?, ?)",
-                sorted(adom.items()))
         cur.execute("ANALYZE")
         self.conn.commit()
         STATS["pushdown"]["mirror_rebuilds"] += 1
 
     def _apply(self, log: Changelog) -> None:
-        """Changelog listener: one batch, one sqlite transaction.
-
-        ``Changelog`` deltas carry the *net* effect of a batch —
-        inserted rows were absent before it, deleted rows present — so
-        per-occurrence refcounting keeps ``repro_adom`` exact.
-        """
+        """Changelog listener: one batch, one sqlite transaction."""
         with self._lock:
             self._apply_locked(log)
 
@@ -163,7 +147,6 @@ class SQLiteMirror:
         cur = self.conn.cursor()
         encode = self.dictionary.encode
         rows = 0
-        adom: Counter = Counter()
         for name, delta in log.deltas.items():
             self._ensure_table(cur, name)
             arity = self.db.schemas[name].arity
@@ -171,29 +154,17 @@ class SQLiteMirror:
             if delta.deleted:
                 coded = [tuple(encode(v) for v in row)
                          for row in delta.deleted]
-                for row in coded:
-                    adom.subtract(row)
                 where = " AND ".join(f"c{i} = ?" for i in range(arity))
                 cur.executemany(f"DELETE FROM {table} WHERE {where}", coded)
                 rows += len(coded)
             if delta.inserted:
                 coded = [tuple(encode(v) for v in row)
                          for row in delta.inserted]
-                for row in coded:
-                    adom.update(row)
                 placeholders = ", ".join("?" for _ in range(arity))
                 cur.executemany(
                     f"INSERT OR IGNORE INTO {table} "
                     f"VALUES ({placeholders})", coded)
                 rows += len(coded)
-        changes = [(code, n) for code, n in adom.items() if n]
-        if changes:
-            cur.executemany(
-                f"INSERT INTO {ADOM_TABLE} VALUES (?, ?) "
-                "ON CONFLICT(code) DO UPDATE SET "
-                "refs = refs + excluded.refs", changes)
-            cur.execute(f"DELETE FROM {ADOM_TABLE} WHERE refs <= 0")
-            STATS["pushdown"]["adom_delta_rows"] += len(changes)
         self.conn.commit()
         STATS["pushdown"]["mirror_delta_rows"] += rows
 
@@ -219,8 +190,7 @@ class SQLiteMirror:
             STATS["pushdown"]["stmt_cache_hits"] += 1
             return hit
         STATS["pushdown"]["stmt_cache_misses"] += 1
-        stmt = compile_plan(compiled.plan, self.db.schemas,
-                            compiled.constants, probe=probe)
+        stmt = compile_plan(compiled.plan, self.db.schemas, probe=probe)
         self._stmt_cache[key] = stmt
         while len(self._stmt_cache) > SQL_STMT_CACHE_SIZE:
             self._stmt_cache.popitem(last=False)
@@ -250,8 +220,8 @@ class SQLiteMirror:
     # -- introspection -------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
-        """Mirror-local facts: per-table row and index counts, the
-        active-domain size and the statement cache's occupancy."""
+        """Mirror-local facts: per-table row and index counts and the
+        statement cache's occupancy."""
         tables: Dict[str, Dict[str, int]] = {}
         with self._lock:
             for name in sorted(self._known):
@@ -262,14 +232,11 @@ class SQLiteMirror:
                     "WHERE type = 'index' AND tbl_name = ?", (name,)
                 ).fetchone()[0]
                 tables[name] = {"rows": rows, "indexes": indexes}
-            adom_values = self.conn.execute(
-                f"SELECT COUNT(*) FROM {ADOM_TABLE}").fetchone()[0]
         pushdown = STATS["pushdown"]
         lookups = (pushdown["stmt_cache_hits"]
                    + pushdown["stmt_cache_misses"])
         return {
             "tables": tables,
-            "adom_values": adom_values,
             "stmt_cache": {
                 "entries": len(self._stmt_cache),
                 "capacity": SQL_STMT_CACHE_SIZE,
@@ -312,10 +279,12 @@ def native_sql_answers(compiled, db: Database) -> FrozenSet[Tuple]:
 
     Raises :class:`~repro.db.database.BatchError` inside an open batch:
     the mirror applies committed changelogs only, so it would answer
-    from the last commit (and a mirror first built mid-batch would
-    count the batch's active-domain refs twice at commit).
+    from the last commit.  A plan with an ``Adom*`` node runs on
+    ``compiled.rows`` instead and is not counted in ``native_sql``.
     """
     _require_committed(db)
+    if compiled.uses_adom:
+        return compiled.rows(db)
     result = sql_mirror(db).answers(compiled)
     STATS["pushdown"]["native_sql"] += 1
     return result
@@ -325,9 +294,12 @@ def native_sql_holds(compiled, db: Database) -> bool:
     """Boolean certainty probe inside sqlite.
 
     Raises :class:`~repro.db.database.BatchError` inside an open batch,
-    like :func:`native_sql_answers`.
+    and hands an ``Adom*`` plan to ``compiled.holds``, like
+    :func:`native_sql_answers`.
     """
     _require_committed(db)
+    if compiled.uses_adom:
+        return compiled.holds(db)
     result = sql_mirror(db).holds(compiled)
     STATS["pushdown"]["native_sql"] += 1
     return result

@@ -4,14 +4,15 @@ This is what ``method="sql"`` runs: instead of re-deriving SQL from
 the first-order *formula* (:mod:`repro.fo.sql`, the paper's
 single-query artifact), the PV-verified plan IR — the exact tree the
 in-memory executors run — is translated node-by-node into a chain of
-non-recursive CTEs ending in a single ``SELECT``.  All twelve plan
-node types translate.  The translation
+non-recursive CTEs ending in a single ``SELECT``.  Every node type but
+the three ``Adom*`` ones translates; those enumerate the active domain,
+so :mod:`repro.storage.pushdown` hands a plan holding one to the row
+executor, and compiling one here raises
+:class:`~repro.fo.plan.PlanError`.  The translation
 targets the integer-encoded mirror of :mod:`repro.storage.pushdown`:
 every column is a :class:`~repro.columnar.dictionary.ValueDictionary`
-code (INTEGER), constants are bound as parameters (encoded per call,
-never inlined), and the ``Adom*`` operators read the incrementally
-maintained ``repro_adom`` table instead of re-deriving the active
-domain per query.
+code (INTEGER), and constants are bound as parameters (encoded per
+call, never inlined).
 
 Correctness leans on two invariants:
 
@@ -30,29 +31,19 @@ optimizes well: semi/anti joins become ``(cols) IN`` / ``NOT IN``
 subqueries (the right side is materialized into one transient index
 instead of a correlated probe per row — safe because codes are never
 NULL), and ``Difference`` becomes a ``NOT IN`` filter over its
-already-distinct left side.  One algebraic identity is applied during
-translation: a semijoin of a source against a projection *of that same
-source* is the source itself (and the antijoin is empty) — rewritings
-produce this shape whenever a guard re-checks values it generated, and
-sqlite cannot discover the identity from the text.
+already-distinct left side.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
 from ..core.atoms import RelationSchema
 from ..fo import plan as ir
 from ..fo.sql import table_name
 
-__all__ = ["CompiledSQL", "compile_plan", "plan_relations", "ADOM_TABLE"]
+__all__ = ["CompiledSQL", "compile_plan", "plan_relations"]
 
-#: The physical active-domain table the mirror maintains from deltas.
-ADOM_TABLE = "repro_adom"
-
-#: CTE alias for the per-query active domain (``repro_adom`` plus the
-#: plan's constants, mirroring ``Executor.adom``).
-_ADOM_CTE = "_adom"
 
 def plan_relations(plan: ir.Plan) -> Set[str]:
     """The relation names the plan scans (tables the query references)."""
@@ -69,13 +60,11 @@ class CompiledSQL:
     genuine reuse.
     """
 
-    __slots__ = ("sql", "params", "uses_adom", "width")
+    __slots__ = ("sql", "params", "width")
 
-    def __init__(self, sql: str, params: Tuple[object, ...],
-                 uses_adom: bool, width: int):
+    def __init__(self, sql: str, params: Tuple[object, ...], width: int):
         self.sql = sql
         self.params = params
-        self.uses_adom = uses_adom
         self.width = width
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -94,7 +83,6 @@ class _Builder:
         self.schemas = schemas
         self.ctes: List[Tuple[str, str]] = []
         self.params: List[object] = []
-        self.uses_adom = False
         self._memo: Dict[object, str] = {}
 
     # -- helpers -------------------------------------------------------
@@ -120,37 +108,6 @@ class _Builder:
 
     # -- dispatch ------------------------------------------------------
 
-    @staticmethod
-    def _scan_key(node: ir.Scan) -> Tuple:
-        return (node.atom.relation, node.atom.schema.arity,
-                tuple(sorted(node.consts.items(), key=repr)),
-                node.eq_checks, node.proj)
-
-    @staticmethod
-    def _peel_projects(node: ir.Plan) -> ir.Plan:
-        # A chain of Projects composes to one projection determined by
-        # the final column variables alone.
-        while type(node) is ir.Project:
-            node = node.child
-        return node
-
-    def _same_source(self, a: ir.Plan, b: ir.Plan) -> bool:
-        """Do *a* and *b* compute projections of the same relation?
-
-        True when, after peeling pure projections, both sides are the
-        same node object or structurally identical scans.  Every row of
-        a projection of X restricted to any subset of X's columns lies
-        in the matching projection of X, so a semijoin between the two
-        is the identity and an antijoin is empty.
-        """
-        a = self._peel_projects(a)
-        b = self._peel_projects(b)
-        if a is b:
-            return True
-        if type(a) is ir.Scan and type(b) is ir.Scan:
-            return self._scan_key(a) == self._scan_key(b)
-        return False
-
     def compile(self, node: ir.Plan) -> str:
         # Memoize by node identity so a multiply-referenced subtree
         # shares one CTE.  Scans are the exception: every reference
@@ -171,16 +128,6 @@ class _Builder:
             return self._scan(node)
         if type(node) is ir.Literal:
             return self._literal(node)
-        if type(node) is ir.AdomProduct:
-            return self._adom_product(node)
-        if type(node) is ir.AdomGuard:
-            self.uses_adom = True
-            return self._emit(
-                f"SELECT 1 AS u WHERE EXISTS (SELECT 1 FROM {_ADOM_CTE})")
-        if type(node) is ir.AdomEq:
-            self.uses_adom = True
-            return self._emit(
-                f"SELECT a.v AS c0, a.v AS c1 FROM {_ADOM_CTE} a")
         if type(node) is ir.Select:
             return self._select(node)
         if type(node) is ir.Project:
@@ -240,16 +187,6 @@ class _Builder:
         sel = ", ".join(f"column{j + 1} AS c{j}" for j in range(width))
         return self._emit(f"SELECT {sel} FROM (VALUES {tuples})")
 
-    def _adom_product(self, node: ir.AdomProduct) -> str:
-        width = len(node.cols)
-        if width == 0:
-            # itertools.product(repeat=0) yields the empty tuple once.
-            return self._emit("SELECT 1 AS u")
-        self.uses_adom = True
-        sel = ", ".join(f"a{j}.v AS c{j}" for j in range(width))
-        frm = ", ".join(f"{_ADOM_CTE} a{j}" for j in range(width))
-        return self._emit(f"SELECT {sel} FROM {frm}")
-
     # -- unary ---------------------------------------------------------
 
     def _select(self, node: ir.Select) -> str:
@@ -301,13 +238,6 @@ class _Builder:
             f"SELECT {sel} FROM {left} l, {right} r{where}")
 
     def _semi(self, node, anti: bool) -> str:
-        if self._same_source(node.left, node.right):
-            # Every left row's shared-column projection is in the
-            # right side by construction: the semijoin is the left
-            # input itself, the antijoin is empty.
-            if anti:
-                return self._emit(self._empty(len(node.cols)))
-            return self.compile(node.left)
         left = self.compile(node.left)
         right = self.compile(node.right)
         sel = self._sel(len(node.cols), prefix="l.")
@@ -337,9 +267,6 @@ class _Builder:
 
     def _difference(self, node: ir.Difference) -> str:
         width = len(node.cols)
-        if self._same_source(node.left, node.right):
-            # Identical columns over the same source: X - X = empty.
-            return self._emit(self._empty(width))
         sel = self._sel(width)
         left = self.compile(node.left)
         right = self.compile(node.right)
@@ -359,16 +286,12 @@ class _Builder:
 
 
 def compile_plan(plan: ir.Plan, schemas: Mapping[str, RelationSchema],
-                 constants: Sequence[object] = (),
                  probe: bool = False) -> CompiledSQL:
     """One parameterized SELECT computing ``execute_plan(plan, db)``.
 
-    ``constants`` are the compiled query's constant values; they join
-    ``repro_adom`` in the active-domain CTE exactly as the executor
-    unions them into its ``adom`` (so an ``Adom*`` node ranges over the
-    same set even when a constant is absent from the database).  With
-    ``probe=True`` (or a nullary plan) the statement returns a single
-    0/1 row — the short-circuit boolean form.
+    With ``probe=True`` (or a nullary plan) the statement returns a
+    single 0/1 row — the short-circuit boolean form.  An ``Adom*`` node
+    raises :class:`~repro.fo.plan.PlanError`.
     """
     builder = _Builder(schemas)
     root = builder.compile(plan)
@@ -379,12 +302,6 @@ def compile_plan(plan: ir.Plan, schemas: Mapping[str, RelationSchema],
         width = len(plan.cols)
         sel = ", ".join(f"c{j}" for j in range(width))
         final = f"SELECT {sel} FROM {root}"
-    params: List[object] = builder.params
     ctes = [f"{name} AS ({body})" for name, body in builder.ctes]
-    if builder.uses_adom:
-        union = ["SELECT code AS v FROM " + ADOM_TABLE]
-        union.extend("SELECT ?" for _ in constants)
-        ctes.insert(0, f"{_ADOM_CTE}(v) AS ({' UNION '.join(union)})")
-        params = list(constants) + params
     sql = "WITH " + ",\n     ".join(ctes) + "\n" + final
-    return CompiledSQL(sql, tuple(params), builder.uses_adom, width)
+    return CompiledSQL(sql, tuple(builder.params), width)

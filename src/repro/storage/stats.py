@@ -36,7 +36,6 @@ def _fresh() -> Dict[str, Any]:
             "native_sql": 0,           # queries run as one SELECT in the mirror
             "mirror_rebuilds": 0,      # full reloads of the sqlite mirror
             "mirror_delta_rows": 0,    # fact rows applied incrementally
-            "adom_delta_rows": 0,      # active-domain refcount upserts
             "stmt_cache_hits": 0,      # compiled statements reused
             "stmt_cache_misses": 0,    # compiled statements built
         },

@@ -157,10 +157,11 @@ def fake_compiled(plan, free=()):
 
 class TestQPRules:
     def test_catalogue_is_complete(self):
-        # QP110 (untranslatable SQL plan) is retired: every plan node
-        # type has a native SQL translation.
+        # Retired codes: QP110 (untranslatable SQL plan), and QP104 and
+        # QP109 (views recompute, columnar decodes Adom*), both folded
+        # into QP103 when only the row executor kept evaluating Adom*.
         assert sorted(QP_RULES) == [f"QP1{i:02d}" for i in range(13)
-                                    if i != 10]
+                                    if i not in (4, 9, 10)]
         for info in QP_RULES.values():
             assert info.summary and info.code.startswith("QP1")
 
@@ -173,17 +174,25 @@ class TestQPRules:
         codes = [d.code for d in run_qp_rules(ctx)]
         assert "QP100" in codes
 
-    def test_qp103_and_qp104_on_adom_plan(self):
+    def test_qp103_on_adom_plan(self):
         plan = Project(AdomProduct((x,)), (x,))
         ctx = AnalysisContext(compiled=fake_compiled(plan, (x,)), free=(x,))
-        codes = {d.code for d in run_qp_rules(ctx)}
-        assert {"QP103", "QP104"} <= codes
+        found = [d for d in run_qp_rules(ctx) if d.code == "QP103"]
+        assert len(found) == 1
+        message = found[0].message
+        for backend in ("method=parallel", "method=columnar", "method=sql",
+                        "incremental view"):
+            assert backend in message
 
-    def test_qp104_only_for_boolean_adom_plan(self):
+    def test_qp103_on_boolean_adom_plan(self):
+        # A view on a sentence still re-executes on every commit; the
+        # parallel fallback is QP101's, so the message leaves it out.
         plan = Project(AdomProduct((x,)), ())
         ctx = AnalysisContext(compiled=fake_compiled(plan, ()))
-        codes = {d.code for d in run_qp_rules(ctx)}
-        assert "QP104" in codes and "QP103" not in codes
+        found = [d for d in run_qp_rules(ctx) if d.code == "QP103"]
+        assert len(found) == 1
+        assert "incremental view" in found[0].message
+        assert "method=parallel" not in found[0].message
 
     def test_qp106_on_bad_join_order(self):
         a = Scan(atom("A", [x], []))

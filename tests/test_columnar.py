@@ -302,18 +302,30 @@ class TestVectorOperators:
         assert both(Difference(left, right), db) == set()
 
     def test_adom_fallback_counts_and_agrees(self):
+        """An Adom* plan has no batch form: ``columnar_rows`` hands the
+        whole plan to ``CompiledQuery.rows``, counting one
+        ``decode_fallbacks`` globally and on the root node."""
         db = db_from({"R/1/1": [(1,), (2,)]})
-        adom = AdomProduct((y,))
-        plan = Join(Scan(atom("R", [x], [])), adom)
+        plan = Join(Scan(atom("R", [x], [])), AdomProduct((y,)))
+        compiled = CompiledQuery(None, plan.cols, plan, ())
+        before = columnar_stats()["decode_fallbacks"]
         profile = PlanProfile()
-        got = vrun(plan, db, profile=profile)
-        assert got == rrun(plan, db)
-        stats = profile.stats_for(adom)
-        assert stats.decode_fallbacks == 1 and stats.batches == 1
+        got = columnar_rows(compiled, db, profile=profile)
+        assert got == compiled.rows(db) == rrun(plan, db)
+        assert columnar_stats()["decode_fallbacks"] == before + 1
+        root = profile.stats_for(plan)
+        assert root.decode_fallbacks == 1 and root.batches == 0
+        assert root.calls == 1  # the row executor profiled the plan
 
     def test_adom_guard_fallback(self):
         db = db_from({"R/1/1": [(1,)]})
-        assert both(AdomGuard(), db) == {()}
+        plan = Join(Scan(atom("R", [x], [])), AdomGuard())
+        with pytest.raises(TypeError, match="no columnar executor"):
+            vrun(plan, db)
+        with pytest.raises(TypeError, match="no columnar executor"):
+            vrun(AdomProduct((x,)), db)
+        compiled = CompiledQuery(None, plan.cols, plan, ())
+        assert columnar_rows(compiled, db) == {(1,)}
 
     def test_one_source_projection(self, monkeypatch):
         """pi[z, p](sigma z != t (X(z, p) join G(p, t))), the shape of
@@ -499,8 +511,8 @@ class TestRouting:
         assert answers == certain_answers(oq, db, "compiled")
 
     def test_adom_plan_keeps_tuples(self, monkeypatch):
-        # An Adom* node has no batch form (a decode fallback), so auto
-        # leaves the plan on the row executor at any size.
+        # An Adom* plan has no batch form (columnar would hand it to the
+        # row executor), so auto leaves it there at any size.
         monkeypatch.setattr(columnar_executor, "COLUMNAR_MIN_FACTS", 0)
         db = random_poll_database(6, 3, conflict_rate=0.5,
                                   rng=random.Random(4))
@@ -529,11 +541,11 @@ class TestRouting:
 
 
 # ----------------------------------------------------------------------
-# QP109 and the plan --columnar CLI surface
+# QP103 and the plan --columnar CLI surface
 # ----------------------------------------------------------------------
 
 
-class TestQP109:
+class TestQP103:
     def test_fires_on_adom_plan(self):
         from types import SimpleNamespace
 
@@ -543,14 +555,15 @@ class TestQP109:
         ctx = AnalysisContext(
             compiled=SimpleNamespace(plan=plan, free=(x,)), free=(x,)
         )
-        codes = {d.code for d in run_qp_rules(ctx)}
-        assert "QP109" in codes
+        found = [d for d in run_qp_rules(ctx) if d.code == "QP103"]
+        assert len(found) == 1
+        assert "method=columnar" in found[0].message
 
     def test_silent_without_adom(self):
         from repro.analysis import analyze_query
 
         report = analyze_query(poll_qa(), free=(p,))
-        assert "QP109" not in {d.code for d in report.diagnostics}
+        assert "QP103" not in {d.code for d in report.diagnostics}
 
 
 QA_TEXT = "Lives(p | t), not Born(p | t), not Likes(p, t)"
@@ -568,7 +581,9 @@ class TestPlanColumnarCLI:
     def test_static_view_marks_batch_operators(self, capsys):
         assert main(["plan", QA_TEXT, "--free", "p", "--columnar"]) == 0
         out = capsys.readouterr().out
-        assert "[batch]" in out and "fallback" not in out
+        assert "columnar: batch plan" in out and "handed" not in out
+        assert main(["plan", QA_TEXT, "--columnar"]) == 0
+        assert "short-circuit probe" in capsys.readouterr().out
 
     def test_analyze_prints_both_profiles(self, capsys, poll_file):
         assert main(["plan", QA_TEXT, "--free", "p", "--columnar",

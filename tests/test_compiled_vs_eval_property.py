@@ -253,8 +253,9 @@ ADOM_BATCH = UpdateStreamParams(n_batches=1, batch_size=8,
     ids=[f"q{i}-{'-'.join(free) or 'boolean'}" for i, free in ADOM_PAIRS])
 def test_adom_plan_cross_validation(index, free_names, tmp_path):
     """Adom*-bearing plans agree with brute force on every backend: in
-    memory, on a store (sql through the mirror's ``repro_adom``) before
-    and after an update batch, and as a registered view."""
+    memory, on a store (where sql and columnar hand the plan to the row
+    executor) before and after an update batch, and as a registered
+    view, which re-executes the plan on every commit."""
     text = ADOM_QUERIES[index]
     query = parse_query(text)
     free = [Variable(name) for name in free_names]
@@ -270,8 +271,8 @@ def test_adom_plan_cross_validation(index, free_names, tmp_path):
 
     store = _copy_into_store(db, tmp_path / "store")
     try:
-        # The batch brings fresh values, so the sql run after it reads
-        # repro_adom rows written by a delta, not only by the build.
+        # The batch brings fresh values, so the runs after it see an
+        # active domain that a commit moved.
         for batch in [None] + random_update_stream(db, ADOM_BATCH, rng):
             if batch is not None:
                 apply_update_stream(db, [batch])

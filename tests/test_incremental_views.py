@@ -11,7 +11,10 @@ from repro.core.atoms import RelationSchema, atom
 from repro.core.query import Query
 from repro.fo.compile import compile_formula
 from repro.fo.formula import AtomF, make_not
+from repro.fo.plan import Plan, Project
 from repro.incremental import (
+    DeltaError,
+    IncrementalPlan,
     StaleVersionError,
     ViewManager,
     reset_view_stats,
@@ -257,7 +260,7 @@ class TestStats:
 class TestAdomFallback:
     def test_negated_atom_formula_tracks_active_domain(self):
         # ¬R(x,y) with x,y free compiles to active-domain operators; the
-        # delta engine must fall back to recompute when the domain moves.
+        # view re-executes on every commit, because the domain moves.
         db = db_from({"R/2/1": [(1, 2)]})
         manager = ViewManager(db)
         formula = make_not(AtomF(atom("R", [x], [y])))
@@ -271,3 +274,32 @@ class TestAdomFallback:
         db.discard("R", (3, 3))  # shrinks it again
         assert view.answers == compiled.rows(db)
         assert view.answers == {(1, 1), (2, 1), (2, 2)}
+
+    def test_commit_to_an_unread_relation_moves_the_answers(self):
+        # S is not in the formula, but its facts are in the active
+        # domain: a view that skipped the commit would miss (7, 7).
+        db = db_from({"R/2/1": [(1, 2)], "S/1/1": []})
+        manager = ViewManager(db)
+        formula = make_not(AtomF(atom("R", [x], [y])))
+        view = manager.register_formula(formula, [x, y])
+        compiled = compile_formula(formula, (x, y))
+        for change in (lambda: db.add("S", (7,)),
+                       lambda: db.discard("S", (7,))):
+            before = view.stats()["fallback_recomputes"]
+            change()
+            assert view.answers == compiled.rows(db)
+            assert view.stats()["fallback_recomputes"] == before + 1
+        db.add("S", (7,))
+        assert (7, 7) in view.answers
+        assert manager.stats()["commits_seen"] == 3
+
+    def test_node_without_delta_rule_is_refused(self):
+        class OpaquePlan(Plan):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__((x,))
+
+        db = db_from({"R/2/1": [(1, 2)]})
+        with pytest.raises(DeltaError, match="no delta rule"):
+            IncrementalPlan(Project(OpaquePlan(), (x,)), db)

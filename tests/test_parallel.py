@@ -15,13 +15,16 @@ import random
 import pytest
 
 from repro.core.terms import Variable
-from repro.cqa.certain_answers import OpenQuery, certain_answers
+from repro.cqa.certain_answers import (
+    OpenQuery,
+    _guarded_open_rewriting,
+    certain_answers,
+)
 from repro.cqa.engine import CertaintyEngine
-from repro.fo.compile import plan_cache
+from repro.fo.compile import compile_formula, plan_cache
 from repro.parallel import (
     parallel_certain_answers,
     parallel_stats,
-    plan_has_adom,
     reset_parallel_stats,
     shard_database,
     shard_of,
@@ -208,6 +211,23 @@ class TestFallbacks:
         db = db_from({"Mayor/2/1": [("mons", "ann"), ("mons", "bea")]})
         oq = OpenQuery(parse_query("Mayor(t | p)"), [p])
         assert self._reason_of(oq, db, jobs=2, min_facts=0) == "no-shard-variable"
+
+    @needs_fork
+    def test_plan_touches_adom(self, rng):
+        # A generated query whose guarded rewriting compiles to an
+        # Adom* plan (ADOM_QUERIES[154] of the compiled-vs-eval
+        # property suite): no shard sees the whole active domain.
+        from repro.core.parser import parse_query
+        from repro.workloads.generators import random_small_database
+
+        query = parse_query("P0(v2, v1, v0), P1(v1), P2(v0 | v1), "
+                            "not N0(v2 | v0, v2), not N1(v1 | v1)")
+        oq = OpenQuery(query, [Variable("v1")])
+        compiled = compile_formula(_guarded_open_rewriting(oq), oq.free)
+        assert compiled.uses_adom
+        db = random_small_database(query, rng, domain_size=3)
+        reason = self._reason_of(oq, db, jobs=2, min_facts=0)
+        assert reason == "plan-touches-adom"
 
 
 class TestResolveJobs:

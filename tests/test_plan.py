@@ -12,6 +12,7 @@ from repro.db.database import Database
 from repro.fo.compile import (
     CompileError,
     PlanCache,
+    _combine,
     compile_formula,
     standardize_apart,
 )
@@ -272,6 +273,51 @@ class TestCompile:
         f = And((AtomF(atom("R", [x], [y])), Not(Eq(x, y))))
         db = db_from({"R/2/1": [(1, 1), (1, 2)]})
         assert compile_formula(f, (x, y)).rows(db) == {(1, 2)}
+
+    def test_combine_drops_a_semijoin_only_when_it_keeps_every_row(self):
+        r_xy = Scan(atom("R", [x], [y]))
+        # x at position 0 in both atoms: every R(x, y) fact is its own
+        # witness, so the wider side is the conjunction.
+        assert _combine(r_xy, Project(Scan(atom("R", [x], [z])), (x,))) \
+            is r_xy
+        wide = Scan(atom("R", [x], [z]))
+        assert _combine(Project(r_xy, (x,)), wide) is wide
+        # y sits at position 1 here and 0 there; a constant or another
+        # relation changes the facts: the semi-join stays.
+        for narrow in (Project(Scan(atom("R", [y], [z])), (y,)),
+                       Project(Scan(atom("R", [x], [Constant(1)])), (x,)),
+                       Project(Scan(atom("S", [x], [z])), (x,))):
+            assert type(_combine(r_xy, narrow)) is SemiJoin
+
+    def test_same_relation_at_other_positions_still_filters(self):
+        # R(x, y) and R(y, x): the shortcut must not fire.
+        f = And((AtomF(atom("R", [x], [y])), AtomF(atom("R", [y], [x]))))
+        db = db_from({"R/2/1": [(1, 2), (2, 1), (3, 4)]})
+        assert compile_formula(f, (x, y)).rows(db) == {(1, 2), (2, 1)}
+
+    def test_poll_qa_plan_semijoins_no_relation_with_itself(self):
+        from repro.cqa.certain_answers import (
+            OpenQuery,
+            _guarded_open_rewriting,
+        )
+        from repro.workloads.queries import poll_qa
+
+        p = Variable("p")
+        compiled = compile_formula(
+            _guarded_open_rewriting(OpenQuery(poll_qa(), [p])), (p,))
+        nodes = list(plan_nodes(compiled.plan))
+        assert len(nodes) == 11
+
+        def relation(node):
+            while type(node) is Project:
+                node = node.child
+            return node.atom.relation if type(node) is Scan else None
+
+        semijoins = [node for node in nodes if type(node) is SemiJoin]
+        assert semijoins
+        for node in semijoins:
+            left = relation(node.left)
+            assert left is None or left != relation(node.right), node
 
 
 class TestPlanCache:

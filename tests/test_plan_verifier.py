@@ -223,12 +223,6 @@ class TestReportAndHelpers:
         assert plan_uses_adom(AdomProduct((x,)))
         assert plan_uses_adom(Project(Join(scan_r(), AdomProduct((z,))), ()))
 
-    def test_parallel_helper_delegates(self):
-        from repro.parallel.executor import plan_has_adom
-
-        assert plan_has_adom(Project(AdomProduct((x,)), ()))
-        assert not plan_has_adom(scan_r())
-
 
 class TestCompileGate:
     def test_enabled_in_test_suite(self):

@@ -2,16 +2,15 @@
 
 The mirror is built once per database per process, in memory, then
 must stay delta-consistent with its database (one transaction per
-changelog batch, active-domain refcounts updated alongside) and serve
-every plan natively — ``Adom*``-bearing plans included, through the
-``repro_adom`` table.  ``method="auto"`` never builds it, and a store
-never writes it to disk.
+changelog batch) and serve every ``Adom*``-free plan natively; an
+``Adom*``-bearing plan is handed to the row executor and answers the
+same.  ``method="auto"`` never builds the mirror, and a store never
+writes it to disk.
 """
 
 from __future__ import annotations
 
 import random
-import types
 
 import pytest
 
@@ -31,16 +30,19 @@ from repro.fo.plan import (
     Scan,
     execute_plan,
 )
-from repro.columnar import columnar_stats
+from repro.columnar import VectorExecutor, columnar_rows, columnar_stats
 from repro.columnar.executor import COLUMNAR_MIN_FACTS
 from repro.db.database import BatchError, Database
+from repro.fo.compile import CompiledQuery
 from repro.fo.sql import table_name
 from repro.obs import Tracer
 from repro.workloads import random_poll_database
 from repro.workloads.queries import poll_qa, poll_qb
 from repro.storage import (
     PersistentDatabase,
+    compile_plan,
     native_sql_answers,
+    native_sql_holds,
     reset_storage_stats,
     sql_mirror,
     storage_stats,
@@ -85,17 +87,18 @@ def mirror_rows(mirror, relation):
     return {tuple(decode(code) for code in row) for row in cur.fetchall()}
 
 
-def adom_values(mirror):
-    """The decoded contents of the maintained active-domain table."""
-    cur = mirror.conn.execute("SELECT code FROM repro_adom")
-    return {mirror.dictionary.decode(code) for (code,) in cur.fetchall()}
+def mirror_tables(mirror):
+    """The tables the mirror created (sqlite's own left out)."""
+    cur = mirror.conn.execute(
+        "SELECT name FROM sqlite_master "
+        "WHERE type = 'table' AND name NOT LIKE 'sqlite%'")
+    return {name for (name,) in cur.fetchall()}
 
 
 def fake_compiled(plan, constants=(), free=None):
-    """A CompiledQuery stand-in for synthetic plans."""
-    return types.SimpleNamespace(
-        plan=plan, constants=tuple(constants),
-        free=tuple(plan.cols if free is None else free))
+    """A compiled query over a synthetic plan."""
+    return CompiledQuery(None, tuple(plan.cols if free is None else free),
+                         plan, tuple(constants))
 
 
 class TestMirror:
@@ -117,18 +120,18 @@ class TestMirror:
         assert storage_stats()["pushdown"]["mirror_rebuilds"] == 1
         db.close()
 
-    def test_adom_table_tracks_active_domain(self, tmp_path):
+    def test_mirror_holds_only_relation_tables(self, tmp_path):
+        # No active-domain table: the mirror never answers Adom* plans,
+        # so a commit writes the changed facts and nothing else.
         db = make_store(tmp_path / "store")
         db.add_all("R", [("a", "1"), ("a", "2")])
         mirror = sql_mirror(db)
-        assert adom_values(mirror) == {"a", "1", "2"}
-        # "a" occurs twice: deleting one occurrence must keep it.
+        assert mirror_tables(mirror) == {"R", "S"}
         db.discard("R", ("a", "1"))
-        assert adom_values(mirror) == {"a", "2"}
         db.add("S", ("1", "z"))
-        assert adom_values(mirror) == {"a", "2", "1", "z"}
-        db.discard("R", ("a", "2"))
-        assert adom_values(mirror) == {"1", "z"}
+        assert mirror_tables(mirror) == {"R", "S"}
+        assert mirror_rows(mirror, "R") == {("a", "2")}
+        assert set(mirror.stats()) == {"tables", "stmt_cache"}
         db.close()
 
     def test_tables_are_integer_with_indexes(self, tmp_path):
@@ -216,13 +219,39 @@ class TestRouting:
         assert engine.certain(db, "sql") == engine.certain(db, "compiled")
         assert storage_stats()["pushdown"]["native_sql"] == 1
 
-    def test_adom_plans_run_natively(self, tmp_path):
-        # Adom*-bearing plans are served by the maintained repro_adom
-        # table instead of forcing the in-memory executors.
+    def test_adom_plans_run_on_the_row_executor(self, tmp_path):
+        # Only the row executor evaluates Adom*: columnar and sql hand
+        # the whole plan to it, before and after a commit moves the
+        # active domain, and a bare Adom* node has no batch or SQL form.
         db = make_store(tmp_path / "store")
         db.add("R", ("a", "1"))
-        compiled = fake_compiled(Project(AdomProduct((x,)), (x,)))
-        assert native_sql_answers(compiled, db) == {("a",), ("1",)}
+        plan = Project(AdomProduct((x,)), (x,))
+        compiled = fake_compiled(plan)
+        sentence = fake_compiled(Project(AdomProduct((x,)), ()))
+
+        def check(expected):
+            assert compiled.rows(db) == expected
+            fallbacks = columnar_stats()["decode_fallbacks"]
+            assert columnar_rows(compiled, db) == expected
+            assert columnar_stats()["decode_fallbacks"] == fallbacks + 1
+            assert native_sql_answers(compiled, db) == expected
+            assert native_sql_holds(sentence, db) is True
+            assert storage_stats()["pushdown"]["native_sql"] == 0
+
+        check({("a",), ("1",)})
+        with db.batch():
+            db.discard("R", ("a", "1"))
+            db.add("R", ("b", "2"))
+            db.add("S", ("1", "b"))
+        check({("1",), ("b",), ("2",)})
+        # A native run builds the mirror; it holds no active domain.
+        certain_answers(OpenQuery(parse_query(QUERY), [x]), db, "sql")
+        assert storage_stats()["pushdown"]["native_sql"] == 1
+        assert "repro_adom" not in mirror_tables(sql_mirror(db))
+        with pytest.raises(TypeError, match="no columnar executor"):
+            VectorExecutor(db).run(plan)
+        with pytest.raises(PlanError, match="no SQL translation"):
+            compile_plan(plan, db.schemas)
         db.close()
 
     def test_unknown_plan_raises(self, tmp_path):
@@ -273,7 +302,8 @@ class TestStatementCache:
 
 
 class TestAdomNative:
-    """Adom* plans execute natively with executor parity on real stores."""
+    """``native_sql_answers`` on Adom* plans keeps executor parity on
+    real stores: it hands them to the row executor."""
 
     def seed(self, tmp_path):
         db = make_store(tmp_path / "store")
@@ -306,7 +336,7 @@ class TestAdomNative:
     def test_adom_constants_outside_database(self, tmp_path):
         # The executor's adom is active_domain ∪ plan constants; a
         # constant the database has never seen must still be ranged
-        # over, via a bind-time parameter in the adom CTE.
+        # over, so the hand-over passes the compiled query's constants.
         db = self.seed(tmp_path)
         plan = Project(AdomProduct((x,)), (x,))
         got = native_sql_answers(fake_compiled(plan, ("ghost",)), db)
@@ -473,13 +503,13 @@ class TestOpenBatch:
         db.commit()
         assert certain_answers(oq, db, "sql") == {("b",)}
         assert sentence.certain(db, "sql") is True
-        # Active-domain refs counted once: deleting every fact of "x"
-        # drops it from the maintained table.
+        # The batch's rows were applied once: deleting them empties
+        # the mirror's copy as well.
         db.discard("Born", ("a", "x"))
         db.discard("Lives", ("a", "x"))
         mirror = sql_mirror(db)
         assert mirror_rows(mirror, "Lives") == db.facts("Lives")
-        assert adom_values(mirror) == db.active_domain() == {"b", "y"}
+        assert mirror_rows(mirror, "Born") == db.facts("Born") == set()
 
     @pytest.mark.parametrize("warm", [True, False])
     def test_in_memory(self, warm):
