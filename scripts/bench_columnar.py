@@ -15,7 +15,7 @@ executor of :mod:`repro.columnar`) and records the speedup per point:
   the way the tuple executor's per-run set comprehensions cannot.
 * Boolean certainty of ``poll_qa`` — recorded for honesty, expected at
   ~1.0x: sentences are *delegated* to the row executor's probe-mode
-  short-circuit by design (see ``VectorExecutor.nonempty``), so both
+  short-circuit by design (see ``columnar_holds``), so both
   methods run the same code.
 
 Every point also records a SHA-256 digest over the sorted answer set

@@ -45,10 +45,10 @@ import time
 
 from repro.core.terms import Variable
 from repro.cqa.certain_answers import OpenQuery, certain_answers
+from repro.obs import reset_metrics
 from repro.parallel import (
     parallel_certain_answers,
     parallel_stats,
-    reset_parallel_stats,
     shutdown_pools,
 )
 from repro.workloads.poll import random_poll_database
@@ -85,7 +85,7 @@ def bench_size(open_query, n_people, jobs_grid, rounds):
     digest = answers_digest(serial)
 
     jobs_grid = [j for j in jobs_grid if N_SHARDS % j == 0]
-    reset_parallel_stats()
+    reset_metrics()
     partition_s = 0.0
     for jobs in jobs_grid:  # warm pools; first config pays the partition
         par, _ = timed(

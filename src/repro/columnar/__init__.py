@@ -17,7 +17,6 @@ from .executor import (
     columnar_rows,
     columnar_stats,
     prefer_columnar,
-    reset_columnar_stats,
 )
 from .relation import ColumnarRelation, fuse, gather
 
@@ -33,5 +32,4 @@ __all__ = [
     "fuse",
     "gather",
     "prefer_columnar",
-    "reset_columnar_stats",
 ]

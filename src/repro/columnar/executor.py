@@ -24,9 +24,10 @@ of row-at-a-time over Python tuples:
 Two kinds of plan are handed whole to the row executor (the oracle):
 
 * **Boolean plans** keep the probe-mode short-circuit: materializing
-  every batch to answer "is it non-empty?" would undo the PR 4 win, so
-  :meth:`VectorExecutor.nonempty` hands the sentence to the row
-  executor's sideways-information-passing probe path.
+  every batch to answer "is it non-empty?" would undo that win, so
+  :func:`columnar_holds` hands the sentence to
+  ``CompiledQuery.holds``, the row executor's
+  sideways-information-passing probe path.
 * **Adom\\* plans** (any ``AdomProduct``/``AdomGuard``/``AdomEq`` node)
   enumerate the active domain, which no column encodes:
   :func:`columnar_rows` runs them on ``CompiledQuery.rows`` and ticks
@@ -57,7 +58,6 @@ from ..db.database import Database
 from ..fo.plan import (
     AntiJoin,
     Difference,
-    Executor,
     Join,
     Literal,
     Plan,
@@ -67,6 +67,7 @@ from ..fo.plan import (
     SemiJoin,
     Union,
 )
+from ..obs.metrics import counters, snapshot
 from .dictionary import ColumnarStore, columnar_store
 from .relation import ColumnarRelation, fuse, gather
 
@@ -76,7 +77,6 @@ __all__ = [
     "columnar_holds",
     "prefer_columnar",
     "columnar_stats",
-    "reset_columnar_stats",
     "COLUMNAR_MIN_FACTS",
 ]
 
@@ -86,23 +86,16 @@ Row = Tuple
 #: (encoding whole relations costs more than small tuple runs save).
 COLUMNAR_MIN_FACTS = 4000
 
-_STATS: Dict[str, int] = {}
-
-
-def reset_columnar_stats() -> None:
-    _STATS.clear()
-    _STATS.update(
-        runs=0,
-        boolean_probe_delegations=0,
-        decode_fallbacks=0,
-        auto_routed=0,
-        scan_cache_hits=0,
-        answers_reused=0,
-        answer_rows_decoded=0,
-    )
-
-
-reset_columnar_stats()
+_STATS = counters(
+    "columnar",
+    runs=0,
+    boolean_probe_delegations=0,
+    decode_fallbacks=0,
+    auto_routed=0,
+    scan_cache_hits=0,
+    answers_reused=0,
+    answer_rows_decoded=0,
+)
 
 
 def columnar_stats() -> Dict[str, int]:
@@ -119,7 +112,7 @@ def columnar_stats() -> Dict[str, int]:
     every row on a full decode, the changed ones on a patch).  Feeds
     the ``columnar`` section of ``engine.metrics()``.
     """
-    return dict(_STATS)
+    return snapshot("columnar")
 
 
 # ----------------------------------------------------------------------
@@ -274,11 +267,10 @@ class VectorExecutor:
     the root with the store's dictionary (or use :func:`columnar_rows`).
     """
 
-    def __init__(self, db: Database, constants: Sequence = (),
-                 profile=None, store: Optional[ColumnarStore] = None):
+    def __init__(self, db: Database, profile=None,
+                 store: Optional[ColumnarStore] = None):
         self.db = db
         self.store = store if store is not None else columnar_store(db)
-        self._constants: Tuple = tuple(constants)
         self._memo: Dict[object, ColumnarRelation] = {}
         self._profile = profile
 
@@ -307,20 +299,6 @@ class VectorExecutor:
     def rows(self, plan: Plan) -> FrozenSet[Row]:
         """Execute and decode back to value tuples."""
         return self.run(plan).to_rows(self.store.dictionary)
-
-    def nonempty(self, plan: Plan) -> bool:
-        """Short-circuit non-emptiness — delegated to the row executor.
-
-        Boolean plans live or die on the probe-mode short-circuit
-        (first witness / first violation); materializing full batches
-        to test emptiness would regress exactly the way pre-probe
-        plans did.  The row executor *is* the probe implementation, so
-        sentences take that path unchanged; the delegation is counted
-        in :func:`columnar_stats`.
-        """
-        _STATS["boolean_probe_delegations"] += 1
-        return Executor(self.db, None, self._constants,
-                        self._profile).nonempty(plan)
 
     # ------------------------------------------------------------------
 
@@ -768,8 +746,7 @@ def columnar_rows(compiled, db: Database,
             profile.count(compiled.plan, "decode_fallbacks")
         return compiled.rows(db, profile=profile)
     store = columnar_store(db)
-    executor = VectorExecutor(db, compiled.constants, profile=profile,
-                              store=store)
+    executor = VectorExecutor(db, profile=profile, store=store)
     root = executor.run(compiled.plan)
     return _decode_answer(store, compiled.plan, root, executor._base())
 
@@ -824,9 +801,11 @@ def _decode_answer(store: ColumnarStore, plan: Plan, root: ColumnarRelation,
 def columnar_holds(compiled, db: Database, profile=None) -> bool:
     """Boolean certainty under the columnar method.
 
-    Sentences keep the row executor's probe-mode short-circuit (see
-    :meth:`VectorExecutor.nonempty` for why); the delegation is counted
-    in :func:`columnar_stats`.
+    Sentences keep the row executor's probe-mode short-circuit:
+    materializing full batches to test emptiness would give up the
+    first-witness / first-violation exit, so the sentence runs on
+    ``CompiledQuery.holds`` unchanged.  The delegation is counted in
+    :func:`columnar_stats`.
     """
     _STATS["runs"] += 1
     _STATS["boolean_probe_delegations"] += 1

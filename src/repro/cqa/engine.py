@@ -119,9 +119,9 @@ class CertaintyEngine:
     def metrics(self):
         """A unified :class:`repro.obs.EngineMetrics` snapshot.
 
-        Bundles the plan-cache, parallel-executor, and incremental-view
-        counters (plus any sources registered on the default
-        :class:`repro.obs.MetricsRegistry`) into one typed object with a
+        Bundles the plan cache's counters and the process-wide
+        parallel, views, columnar and storage sections of the
+        :mod:`repro.obs.metrics` registry into one typed object with a
         stable ``to_dict()``/``to_json()`` shape.
         """
         from ..obs.metrics import collect_metrics

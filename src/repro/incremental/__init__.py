@@ -12,7 +12,6 @@ from .views import (
     StaleVersionError,
     View,
     ViewManager,
-    reset_view_stats,
     view_manager,
     view_stats,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "StaleVersionError",
     "View",
     "ViewManager",
-    "reset_view_stats",
     "view_manager",
     "view_stats",
 ]

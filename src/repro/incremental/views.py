@@ -35,6 +35,7 @@ from ..db.changelog import Changelog
 from ..db.database import Database
 from ..fo.compile import plan_cache
 from ..fo.formula import Formula, free_variables
+from ..obs.metrics import counters, snapshot
 from .delta import IncrementalPlan
 
 Row = Tuple
@@ -44,43 +45,20 @@ class StaleVersionError(ValueError):
     """Raised by :meth:`View.changed_since` for trimmed-away versions."""
 
 
-class _GlobalStats:
-    """Process-wide counters, aggregated across all view managers."""
-
-    __slots__ = ("views_registered", "commits_seen", "deltas_applied",
-                 "rows_touched", "fallback_recomputes")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.views_registered = 0
-        self.commits_seen = 0
-        self.deltas_applied = 0
-        self.rows_touched = 0
-        self.fallback_recomputes = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "views_registered": self.views_registered,
-            "commits_seen": self.commits_seen,
-            "deltas_applied": self.deltas_applied,
-            "rows_touched": self.rows_touched,
-            "fallback_recomputes": self.fallback_recomputes,
-        }
-
-
-_GLOBAL = _GlobalStats()
+#: Process-wide counters, aggregated across all view managers.
+_STATS = counters(
+    "views",
+    views_registered=0,
+    commits_seen=0,
+    deltas_applied=0,
+    rows_touched=0,
+    fallback_recomputes=0,
+)
 
 
 def view_stats() -> Dict[str, int]:
     """Process-wide incremental-maintenance counters (all managers)."""
-    return _GLOBAL.snapshot()
-
-
-def reset_view_stats() -> None:
-    """Zero the process-wide counters (test isolation hook)."""
-    _GLOBAL.reset()
+    return snapshot("views")
 
 
 class View:
@@ -239,7 +217,7 @@ class ViewManager:
         view = View(self, query, compiled.free, formula, incremental,
                     self.db.clock)
         self._views.append(view)
-        _GLOBAL.views_registered += 1
+        _STATS["views_registered"] += 1
         return view
 
     def unregister(self, view: View) -> None:
@@ -262,7 +240,7 @@ class ViewManager:
 
     def _on_commit(self, log: Changelog) -> None:
         self.commits_seen += 1
-        _GLOBAL.commits_seen += 1
+        _STATS["commits_seen"] += 1
         t = self.tracer
         delta_size = sum(
             len(d.inserted) + len(d.deleted) for d in log.deltas.values()
@@ -280,9 +258,9 @@ class ViewManager:
                 ins, dels = inc.apply(log, self.db)
                 touched = inc.rows_touched - before_touched
                 fallbacks = inc.fallback_recomputes - before_fallback
-                _GLOBAL.deltas_applied += 1
-                _GLOBAL.rows_touched += touched
-                _GLOBAL.fallback_recomputes += fallbacks
+                _STATS["deltas_applied"] += 1
+                _STATS["rows_touched"] += touched
+                _STATS["fallback_recomputes"] += fallbacks
                 span.count("deltas_applied")
                 span.count("rows_touched", touched)
                 span.count("fallback_recomputes", fallbacks)

@@ -1,8 +1,9 @@
 """Observability: structured tracing, plan profiling, unified metrics.
 
-The engine has six execution strategies (interpreted, rewriting,
-compiled, sql, incremental, parallel); this package makes all of them
-*measurable* instead of inferable from end-to-end wall clock:
+The engine has seven methods (brute, interpreted, rewriting,
+compiled, columnar, sql, parallel) plus incrementally maintained
+views; this package makes all of them *measurable* instead of
+inferable from end-to-end wall clock:
 
 * :mod:`repro.obs.trace` — a :class:`Tracer` with nestable spans
   (monotonic-clock timings, counters, tags), a zero-overhead no-op
@@ -10,9 +11,10 @@ compiled, sql, incremental, parallel); this package makes all of them
 * :mod:`repro.obs.profile` — per-operator plan profiling
   (:class:`PlanProfile`) and the ``EXPLAIN ANALYZE``-style renderers
   behind ``repro plan --analyze`` and ``repro certain --trace``;
-* :mod:`repro.obs.metrics` — :class:`EngineMetrics` /
-  :class:`MetricsRegistry`, the one consistent schema over the plan
-  cache, parallel executor and incremental-view counters;
+* :mod:`repro.obs.metrics` — the one registry of process-wide
+  counters (:func:`counters`, :func:`reset_metrics`) and
+  :class:`EngineMetrics`, its typed snapshot over the plan cache,
+  parallel executor, incremental views, columnar backend and storage;
 * :mod:`repro.obs.options` — :class:`ExecutionOptions`, the one
   frozen per-call options object (method, jobs, trace, trace file;
   ``REPRO_TRACE_FILE`` is its only env fallback), with a strict JSON
@@ -26,7 +28,7 @@ See ``docs/OBSERVABILITY.md`` for the span model and the metrics
 schema.
 """
 
-from .metrics import EngineMetrics, MetricsRegistry, collect_metrics, default_registry
+from .metrics import EngineMetrics, collect_metrics, reset_metrics
 from .options import KNOWN_METHODS, ExecutionOptions, OptionsError
 from .profile import (
     OperatorStats,
@@ -42,7 +44,6 @@ __all__ = [
     "EngineMetrics",
     "ExecutionOptions",
     "KNOWN_METHODS",
-    "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "OperatorStats",
@@ -52,11 +53,11 @@ __all__ = [
     "Span",
     "Tracer",
     "collect_metrics",
-    "default_registry",
     "profile_tree",
     "read_jsonl",
     "render_profile",
     "render_spans",
+    "reset_metrics",
     "trace_payload",
     "validate",
 ]

@@ -1,39 +1,83 @@
-"""Unified engine metrics: one schema over every subsystem's counters.
+"""Unified engine metrics: one registry for every process-wide counter.
 
-The engine's counters live in process-global, differently shaped
-stats dicts (plan cache, parallel executor, incremental views); the
-one place to read them is
+Each subsystem declares its section once, at import, and increments
+the returned dict in place (a plain ``d[key] += n`` on the hot path):
 
->>> engine = CertaintyEngine(query)          # doctest: +SKIP
->>> engine.metrics()                         # doctest: +SKIP
-EngineMetrics(plan_cache={...}, parallel={...}, views={...})
+>>> _STATS = counters("columnar", runs=0, auto_routed=0)   # doctest: +SKIP
+>>> _STATS["runs"] += 1                                     # doctest: +SKIP
 
-:class:`EngineMetrics` is the typed snapshot (``schema_version`` 1);
-:class:`MetricsRegistry` is the extension point — subsystems register
-a named source callable, and :func:`collect_metrics` snapshots them
-all.  The parallel source includes the **merged worker-side counters**
+:func:`snapshot` copies one section, :func:`reset_metrics` zeroes them
+all, and :func:`collect_metrics` (what ``engine.metrics()`` returns)
+bundles the plan cache's counters and the four sections into one
+typed :class:`EngineMetrics` (``schema_version`` 1).  The parallel
+section includes the **merged worker-side counters**
 (``worker_plan_cache``, ``worker_rows``) that forked workers report
 back per call, fixing the old behaviour where ``repro certain --jobs
 --stats`` silently dropped everything that happened inside workers.
 
-See ``docs/OBSERVABILITY.md`` for the full schema.
+This module imports no subsystem at module level, because every
+subsystem imports it.  See ``docs/OBSERVABILITY.md`` for the schema.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict
+from dataclasses import dataclass
+from typing import Any, Dict
 
 __all__ = [
     "EngineMetrics",
-    "MetricsRegistry",
     "collect_metrics",
-    "default_registry",
+    "counters",
+    "reset_metrics",
+    "snapshot",
 ]
 
 #: Version of the metrics document shape (bump on breaking changes).
 SCHEMA_VERSION = 1
+
+#: Live counter dicts by section, and the zero state each resets to.
+_LIVE: Dict[str, Dict[str, Any]] = {}
+_ZERO: Dict[str, Dict[str, Any]] = {}
+
+
+def _copy(counts: Dict[str, Any]) -> Dict[str, Any]:
+    """A deep copy of a section: numbers, and dicts of them.
+
+    Each level is copied by one ``dict()`` call, which no other thread
+    interrupts, so a snapshot taken while a request thread adds a key
+    (a new ``fallback_reasons`` entry) never iterates a changing dict.
+    """
+    out = dict(counts)
+    for key, value in out.items():
+        if type(value) is dict:
+            out[key] = _copy(value)
+    return out
+
+
+def counters(section: str, **zero: Any) -> Dict[str, Any]:
+    """The live counter dict of ``section``, registered on first call.
+
+    ``zero`` is the section's reset state: numbers, or nested dicts of
+    them.  Later calls return the same dict and ignore ``zero``.
+    """
+    live = _LIVE.get(section)
+    if live is None:
+        _ZERO[section] = _copy(zero)
+        live = _LIVE[section] = _copy(zero)
+    return live
+
+
+def snapshot(section: str) -> Dict[str, Any]:
+    """A deep copy of one section's counters."""
+    return _copy(_LIVE[section])
+
+
+def reset_metrics() -> None:
+    """Zero every section in place (test and benchmark isolation)."""
+    for section, live in _LIVE.items():
+        live.clear()
+        live.update(_copy(_ZERO[section]))
 
 
 @dataclass(frozen=True)
@@ -51,114 +95,47 @@ class EngineMetrics:
         Incremental maintenance: views registered, commits seen,
         deltas applied, rows touched, fallback recomputes (Adom*
         plans re-executed on a commit).
-    ``extra``
-        Any additionally registered sources, keyed by source name.
+    ``columnar``
+        Vectorized backend: runs, sentence and Adom* hand-overs to the
+        row executor, auto routings, scan-cache hits, kept answers
+        reused and answer rows decoded.
+    ``storage``
+        Durable store: WAL, recovery and checkpoint counters, and the
+        SQL pushdown's under a nested ``pushdown`` dict.
     """
 
     plan_cache: Dict[str, int]
     parallel: Dict[str, Any]
     views: Dict[str, int]
-    extra: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    columnar: Dict[str, int]
+    storage: Dict[str, Any]
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> Dict[str, Any]:
         """The JSON-ready document (the ``--stats`` payload)."""
-        out: Dict[str, Any] = {
+        return {
             "schema_version": self.schema_version,
-            "plan_cache": dict(self.plan_cache),
-            "parallel": dict(self.parallel),
-            "views": dict(self.views),
+            "plan_cache": _copy(self.plan_cache),
+            "parallel": _copy(self.parallel),
+            "views": _copy(self.views),
+            "columnar": _copy(self.columnar),
+            "storage": _copy(self.storage),
         }
-        for name, counters in self.extra.items():
-            out[name] = dict(counters)
-        return out
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-class MetricsRegistry:
-    """Named counter sources, snapshotted together.
-
-    A *source* is a zero-argument callable returning a flat(ish) dict
-    of counters.  The three core sources (``plan_cache``, ``parallel``,
-    ``views``) are pre-registered on :data:`default_registry`;
-    subsystems added later (or tests) can register their own and have
-    them appear under :attr:`EngineMetrics.extra` automatically.
-    """
-
-    CORE = ("plan_cache", "parallel", "views")
-
-    def __init__(self) -> None:
-        self._sources: Dict[str, Callable[[], Dict[str, Any]]] = {}
-
-    def register(self, name: str,
-                 source: Callable[[], Dict[str, Any]]) -> None:
-        """Add (or replace) a named counter source."""
-        self._sources[name] = source
-
-    def unregister(self, name: str) -> None:
-        self._sources.pop(name, None)
-
-    def sources(self) -> Dict[str, Callable[[], Dict[str, Any]]]:
-        return dict(self._sources)
-
-    def collect(self) -> EngineMetrics:
-        """Snapshot every source into one :class:`EngineMetrics`."""
-        snapshots = {name: dict(fn()) for name, fn in self._sources.items()}
-        extra = {k: v for k, v in snapshots.items() if k not in self.CORE}
-        return EngineMetrics(
-            plan_cache=snapshots.get("plan_cache", {}),
-            parallel=snapshots.get("parallel", {}),
-            views=snapshots.get("views", {}),
-            extra=extra,
-        )
-
-
-def _plan_cache_source() -> Dict[str, Any]:
+def collect_metrics() -> EngineMetrics:
+    """Snapshot every section (what ``engine.metrics()`` returns)."""
+    # Importing each subsystem declares its section.
+    from .. import columnar, incremental, parallel, storage  # noqa: F401
     from ..fo.compile import plan_cache
 
-    return plan_cache.stats()
-
-
-def _parallel_source() -> Dict[str, Any]:
-    from ..parallel import parallel_stats
-
-    return parallel_stats()
-
-
-def _views_source() -> Dict[str, Any]:
-    from ..incremental import view_stats
-
-    return view_stats()
-
-
-def _columnar_source() -> Dict[str, Any]:
-    from ..columnar import columnar_stats
-
-    return columnar_stats()
-
-
-def _storage_source() -> Dict[str, Any]:
-    from ..storage import storage_stats
-
-    return storage_stats()
-
-
-def _make_default_registry() -> MetricsRegistry:
-    registry = MetricsRegistry()
-    registry.register("plan_cache", _plan_cache_source)
-    registry.register("parallel", _parallel_source)
-    registry.register("views", _views_source)
-    registry.register("columnar", _columnar_source)
-    registry.register("storage", _storage_source)
-    return registry
-
-
-#: The process-wide registry behind ``CertaintyEngine.metrics()``.
-default_registry = _make_default_registry()
-
-
-def collect_metrics() -> EngineMetrics:
-    """Snapshot the default registry (what ``engine.metrics()`` returns)."""
-    return default_registry.collect()
+    return EngineMetrics(
+        plan_cache=plan_cache.stats(),
+        parallel=snapshot("parallel"),
+        views=snapshot("views"),
+        columnar=snapshot("columnar"),
+        storage=snapshot("storage"),
+    )

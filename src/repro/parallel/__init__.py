@@ -19,7 +19,6 @@ from .executor import (
     parallel_certain_answers,
     parallel_stats,
     release_layouts,
-    reset_parallel_stats,
 )
 from .partition import ShardSpec, shard_database, shard_of, shard_spec
 from .pool import PoolRegistry, admission_slots, pool_registry, shutdown_pools
@@ -29,7 +28,6 @@ __all__ = [
     "parallel_stats",
     "release_database",
     "release_layouts",
-    "reset_parallel_stats",
     "PoolRegistry",
     "ShardSpec",
     "admission_slots",

@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from ..db.database import Database
 from ..fo.compile import plan_cache
+from ..obs.metrics import counters, snapshot
 from ..obs.trace import NULL_TRACER
 from .partition import shard_database, shard_spec
 from .pool import fork_context, run_sharded, worker_pool
@@ -43,7 +44,6 @@ from .pool import fork_context, run_sharded, worker_pool
 __all__ = [
     "parallel_certain_answers",
     "parallel_stats",
-    "reset_parallel_stats",
 ]
 
 #: Below this many facts the parallel path falls back to serial
@@ -56,7 +56,21 @@ DEFAULT_MIN_FACTS = 2000
 # docs/PERFORMANCE.md), and idle cost of extra shards is negligible.
 DEFAULT_SHARD_FACTOR = 16
 
-_STATS: Dict[str, object] = {}
+_STATS = counters(
+    "parallel",
+    runs=0,
+    parallel_runs=0,
+    serial_fallbacks=0,
+    fallback_reasons={},
+    shards=0,
+    workers=0,
+    tasks=0,
+    partition_ms=0.0,
+    merge_ms=0.0,
+    worker_exec_ms=0.0,
+    worker_rows=0,
+    worker_plan_cache={"hits": 0, "misses": 0, "evictions": 0},
+)
 
 # Shard layouts keyed by (database identity, clock, spec, n_shards):
 # partitioning depends only on the layout, not the worker count, so a
@@ -84,28 +98,7 @@ def release_layouts(db: Optional[Database] = None) -> int:
     return len(keys)
 
 
-def reset_parallel_stats() -> None:
-    _STATS.clear()
-    _STATS.update(
-        runs=0,
-        parallel_runs=0,
-        serial_fallbacks=0,
-        fallback_reasons={},
-        shards=0,
-        workers=0,
-        tasks=0,
-        partition_ms=0.0,
-        merge_ms=0.0,
-        worker_exec_ms=0.0,
-        worker_rows=0,
-        worker_plan_cache={"hits": 0, "misses": 0, "evictions": 0},
-    )
-
-
-reset_parallel_stats()
-
-
-def parallel_stats() -> Dict[str, object]:
+def parallel_stats() -> Dict[str, Any]:
     """Aggregated parallel-execution counters.
 
     Shard and worker counts of the most recent parallel run,
@@ -118,18 +111,15 @@ def parallel_stats() -> Dict[str, object]:
     fork (see the fork-safety note on ``repro.fo.compile.PlanCache``).
     This feeds the ``parallel`` section of ``EngineMetrics``.
     """
-    out = dict(_STATS)
-    out["fallback_reasons"] = dict(_STATS["fallback_reasons"])  # type: ignore[arg-type]
-    out["worker_plan_cache"] = dict(_STATS["worker_plan_cache"])  # type: ignore[arg-type]
-    return out
+    return snapshot("parallel")
 
 
 def _fallback(open_query, db: Database, reason: str,
               tracer=NULL_TRACER) -> FrozenSet[Tuple]:
     from ..cqa.certain_answers import certain_answers
 
-    _STATS["serial_fallbacks"] += 1  # type: ignore[operator]
-    reasons: Dict[str, int] = _STATS["fallback_reasons"]  # type: ignore[assignment]
+    _STATS["serial_fallbacks"] += 1
+    reasons: Dict[str, int] = _STATS["fallback_reasons"]
     reasons[reason] = reasons.get(reason, 0) + 1
     tracer.event("parallel-fallback", reason=reason)
     return certain_answers(open_query, db, "compiled", tracer=tracer)
@@ -165,7 +155,7 @@ def parallel_certain_answers(
         shard_factor = DEFAULT_SHARD_FACTOR
     if min_facts is None:
         min_facts = DEFAULT_MIN_FACTS
-    _STATS["runs"] += 1  # type: ignore[operator]
+    _STATS["runs"] += 1
     n_jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
     if not open_query.free:
         return _fallback(open_query, db, "boolean", t)
@@ -215,21 +205,21 @@ def parallel_certain_answers(
     shards, pools = got
     partition_seconds = time.perf_counter() - t0
     if partitioned["fresh"]:
-        _STATS["partition_ms"] += partition_seconds * 1e3  # type: ignore[operator]
+        _STATS["partition_ms"] += partition_seconds * 1e3
         t.record("partition", partition_seconds, shards=n_shards)
 
     merged, merge_seconds, exec_seconds, worker_infos = run_sharded(
         pools, compiled.plan, compiled.constants, filter_pos, do_filter,
     )
-    _STATS["merge_ms"] += merge_seconds * 1e3  # type: ignore[operator]
-    _STATS["worker_exec_ms"] += exec_seconds * 1e3  # type: ignore[operator]
-    _STATS["parallel_runs"] += 1  # type: ignore[operator]
+    _STATS["merge_ms"] += merge_seconds * 1e3
+    _STATS["worker_exec_ms"] += exec_seconds * 1e3
+    _STATS["parallel_runs"] += 1
     _STATS["shards"] = n_shards
     _STATS["workers"] = n_jobs
-    _STATS["tasks"] += n_jobs  # type: ignore[operator]
-    cache_totals: Dict[str, int] = _STATS["worker_plan_cache"]  # type: ignore[assignment]
+    _STATS["tasks"] += n_jobs
+    cache_totals: Dict[str, int] = _STATS["worker_plan_cache"]
     for info in worker_infos:
-        _STATS["worker_rows"] += int(info.get("rows", 0))  # type: ignore[operator]
+        _STATS["worker_rows"] += int(info.get("rows", 0))
         delta = info.get("plan_cache") or {}
         for key in cache_totals:
             cache_totals[key] += int(delta.get(key, 0))  # type: ignore[arg-type, call-overload]

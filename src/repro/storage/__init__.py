@@ -24,7 +24,7 @@ from .pushdown import (
 )
 from .sqlgen import CompiledSQL, compile_plan
 from .snapshot import SnapshotError, list_snapshots, read_snapshot, write_snapshot
-from .stats import reset_storage_stats, storage_stats
+from .stats import storage_stats
 from .store import (
     DEFAULT_CHECKPOINT_BYTES,
     PersistentDatabase,
@@ -64,6 +64,5 @@ __all__ = [
     "checkpoint_threshold_bytes",
     "DEFAULT_CHECKPOINT_BYTES",
     "storage_stats",
-    "reset_storage_stats",
     "run_chaos",
 ]

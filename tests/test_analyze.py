@@ -482,10 +482,8 @@ class TestQP101EndToEnd:
     def test_static_flag_matches_runtime_fallback(self, rng):
         from repro.cqa.certain_answers import OpenQuery
         from repro.cqa.engine import CertaintyEngine
-        from repro.parallel import (
-            parallel_certain_answers,
-            reset_parallel_stats,
-        )
+        from repro.obs import reset_metrics
+        from repro.parallel import parallel_certain_answers
         from repro.workloads.poll import random_poll_database
 
         query = poll_qa()
@@ -493,7 +491,7 @@ class TestQP101EndToEnd:
         assert "QP101" in flagged  # statically: parallel will fall back
 
         db = random_poll_database(8, 3, rng=rng)
-        reset_parallel_stats()
+        reset_metrics()
         parallel_certain_answers(OpenQuery(query, []), db,
                                  jobs=2, min_facts=0)
         stats = CertaintyEngine(query).metrics().parallel

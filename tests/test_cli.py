@@ -13,7 +13,8 @@ from repro.cqa.certain_answers import OpenQuery, _guarded_open_rewriting
 from repro.db.io import save_database
 from repro.fo.compile import plan_cache
 from repro.fo.plan import plan_nodes
-from repro.storage import reset_storage_stats, storage_stats
+from repro.obs import reset_metrics
+from repro.storage import storage_stats
 from repro.workloads.poll import (
     paper_flavoured_poll_database,
     random_poll_database,
@@ -300,7 +301,7 @@ class TestDbCommands:
         # Above the columnar size gate auto reads skip SQL; --method sql
         # then answers the same from an in-memory mirror, and neither
         # leaves a mirror file in the store.
-        reset_storage_stats()
+        reset_metrics()
         source = tmp_path / "poll.json"
         db = random_poll_database(n_people=1200, n_towns=60,
                                   rng=random.Random(1))

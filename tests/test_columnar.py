@@ -70,9 +70,9 @@ TRACE_SCHEMA = json.loads(
 )
 
 
-def vrun(plan, db, constants=(), profile=None):
+def vrun(plan, db, profile=None):
     """Execute a plan on the vectorized backend, decoded to rows."""
-    executor = VectorExecutor(db, constants, profile=profile)
+    executor = VectorExecutor(db, profile=profile)
     return executor.run(plan).to_rows(executor.store.dictionary)
 
 

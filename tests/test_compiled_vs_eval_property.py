@@ -17,7 +17,7 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.analysis.verifier import plan_uses_adom
 from repro.columnar import columnar_rows
@@ -100,6 +100,13 @@ rows2 = st.lists(
 rows1 = st.lists(st.tuples(st.integers(0, 2)), max_size=3)
 
 
+#: ``R(x | y) ∧ R(y | x)``: two copies of one atom whose shared column
+#: sits at different atom positions, so the compiler must keep the
+#: semi-join between them (``repro.fo.compile._keeps_all``).
+SWAPPED_SELF_JOIN = make_and([AtomF(atom("R", [x], [y])),
+                              AtomF(atom("R", [y], [x]))])
+
+
 def _db(r_rows, s_rows) -> Database:
     db = Database([RelationSchema("R", 2, 1), RelationSchema("S", 1, 1)])
     for row in r_rows:
@@ -110,6 +117,7 @@ def _db(r_rows, s_rows) -> Database:
 
 
 @given(formulas, rows2, rows1)
+@example(SWAPPED_SELF_JOIN, [(0, 1), (1, 2)], [])
 @settings(max_examples=80, deadline=None)
 def test_compiled_sentence_matches_evaluator_and_sql(formula, r_rows, s_rows):
     db = _db(r_rows, s_rows)
@@ -120,6 +128,7 @@ def test_compiled_sentence_matches_evaluator_and_sql(formula, r_rows, s_rows):
 
 
 @given(formulas, rows2, rows1)
+@example(SWAPPED_SELF_JOIN, [(0, 1), (1, 2), (2, 1)], [])
 @settings(max_examples=60, deadline=None)
 def test_compiled_open_formula_matches_evaluator(formula, r_rows, s_rows):
     db = _db(r_rows, s_rows)

@@ -17,10 +17,10 @@ from repro.incremental import (
     IncrementalPlan,
     StaleVersionError,
     ViewManager,
-    reset_view_stats,
     view_manager,
     view_stats,
 )
+from repro.obs import reset_metrics
 from repro.workloads.queries import poll_qa, q3
 
 from conftest import db_from
@@ -231,7 +231,7 @@ class TestEngineAPI:
 
 class TestStats:
     def test_global_counters_advance(self):
-        reset_view_stats()
+        reset_metrics()
         db = q3_db()
         view = ViewManager(db).register_view(q3(), [x])
         db.discard("N", ("c", "a"))
@@ -242,7 +242,7 @@ class TestStats:
         assert stats["rows_touched"] >= 1
         assert stats["fallback_recomputes"] == 0
         assert view.answers == {(1,)}
-        reset_view_stats()
+        reset_metrics()
         assert view_stats()["commits_seen"] == 0
 
     def test_manager_stats_shape(self):

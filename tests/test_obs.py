@@ -3,10 +3,10 @@
 Covers the span tracer (nesting, counters, JSONL round-trip, the no-op
 default), per-operator plan profiling and its renderers, trace-on/off
 answer parity for every execution method (the tracer must be a pure
-observer), the unified ``EngineMetrics`` API with its deprecated
-static shims, the worker-counter merge bugfix, the JSON-Schema-subset validator, the pinned trace
-document schema, and the new CLI surfaces (``plan --analyze``,
-``certain/answers --trace [--json] [--trace-out]``).
+observer), the unified ``EngineMetrics`` API and its one counter
+registry, the worker-counter merge bugfix, the JSON-Schema-subset
+validator, the pinned trace document schema, and the new CLI surfaces
+(``plan --analyze``, ``certain/answers --trace [--json] [--trace-out]``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.incremental import ViewManager
 from repro.obs import (
     NULL_TRACER,
     EngineMetrics,
-    MetricsRegistry,
     NullTracer,
     PlanProfile,
     Tracer,
@@ -38,14 +37,15 @@ from repro.obs import (
     read_jsonl,
     render_profile,
     render_spans,
+    reset_metrics,
     trace_payload,
     validate,
 )
+from repro.obs.metrics import counters
 from repro.obs.schema import SchemaError, check
 from repro.parallel import (
     parallel_certain_answers,
     parallel_stats,
-    reset_parallel_stats,
     shutdown_pools,
 )
 from repro.parallel.pool import fork_context
@@ -315,7 +315,7 @@ class TestTracingParity:
 
 
 # ----------------------------------------------------------------------
-# EngineMetrics / MetricsRegistry
+# EngineMetrics and the counter registry
 # ----------------------------------------------------------------------
 
 
@@ -339,17 +339,31 @@ class TestEngineMetrics:
         engine.certain(db, "compiled")
         assert engine.metrics().plan_cache["hits"] >= before + 1
 
-    def test_registry_extra_sources(self):
-        registry = MetricsRegistry()
-        registry.register("plan_cache", lambda: {"hits": 1})
-        registry.register("custom", lambda: {"widgets": 7})
-        metrics = registry.collect()
-        assert metrics.plan_cache == {"hits": 1}
-        assert metrics.parallel == {} and metrics.views == {}
-        assert metrics.extra == {"custom": {"widgets": 7}}
-        assert metrics.to_dict()["custom"] == {"widgets": 7}
-        registry.unregister("custom")
-        assert "custom" not in registry.sources()
+    def test_one_registry_resets_every_section(self):
+        # plan_cache is the plan cache's own counters; the other four
+        # sections live in the registry that reset_metrics() zeroes.
+        reset_metrics()
+        zero = collect_metrics().to_dict()
+        assert set(zero) == {"schema_version", "plan_cache", "parallel",
+                             "views", "columnar", "storage"}
+        registry = ("parallel", "views", "columnar", "storage")
+        for _ in range(2):  # the second round catches a shared template
+            for section in registry:
+                live = counters(section)
+                for key, value in live.items():
+                    if type(value) is dict:
+                        value["dirty"] = 1
+                    else:
+                        live[key] = value + 1
+            dirty = collect_metrics().to_dict()
+            assert all(dirty[section] != zero[section]
+                       for section in registry)
+            reset_metrics()
+            after = collect_metrics().to_dict()
+            for section in registry:
+                assert after[section] == zero[section]
+            assert after["parallel"]["fallback_reasons"] == {}
+            assert "dirty" not in after["storage"]["pushdown"]
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +375,7 @@ class TestEngineMetrics:
 class TestWorkerCounterMerge:
     def test_worker_plan_cache_and_rows_merged(self, qa_open, rng):
         db = random_poll_database(40, 5, rng=rng)
-        reset_parallel_stats()
+        reset_metrics()
         answers = parallel_certain_answers(qa_open, db, jobs=2, min_facts=0)
         stats = parallel_stats()
         cache = stats["worker_plan_cache"]
@@ -372,7 +386,7 @@ class TestWorkerCounterMerge:
 
     def test_no_double_counting_on_warm_pool(self, qa_open, rng):
         db = random_poll_database(40, 5, rng=rng)
-        reset_parallel_stats()
+        reset_metrics()
         parallel_certain_answers(qa_open, db, jobs=2, min_facts=0)
         first = dict(parallel_stats()["worker_plan_cache"])
         parallel_certain_answers(qa_open, db, jobs=2, min_facts=0)

@@ -22,10 +22,10 @@ from repro.cqa.certain_answers import (
 )
 from repro.cqa.engine import CertaintyEngine
 from repro.fo.compile import compile_formula, plan_cache
+from repro.obs import reset_metrics
 from repro.parallel import (
     parallel_certain_answers,
     parallel_stats,
-    reset_parallel_stats,
     shard_database,
     shard_of,
     shard_spec,
@@ -169,7 +169,7 @@ class TestParity:
         db = random_poll_database(30, 4, rng=rng)
         oq = qa_open()
         first = parallel_certain_answers(oq, db, jobs=2, min_facts=0)
-        reset_parallel_stats()
+        reset_metrics()
         again = parallel_certain_answers(oq, db, jobs=2, min_facts=0)
         assert again == first
         assert parallel_stats()["partition_ms"] == 0.0  # warm pool, no repartition
@@ -182,7 +182,7 @@ class TestParity:
 
 class TestFallbacks:
     def _reason_of(self, open_query, db, **kw):
-        reset_parallel_stats()
+        reset_metrics()
         result = parallel_certain_answers(open_query, db, **kw)
         stats = parallel_stats()
         assert stats["serial_fallbacks"] == 1
@@ -235,7 +235,7 @@ class TestResolveJobs:
         import os
 
         db = random_poll_database(8, 3, rng=rng)
-        reset_parallel_stats()
+        reset_metrics()
         got = parallel_certain_answers(qa_open(), db, jobs=None, min_facts=0)
         assert got == certain_answers(qa_open(), db, "compiled")
         stats = parallel_stats()
@@ -250,7 +250,7 @@ class TestResolveJobs:
 class TestStatsAndForkSafety:
     def test_engine_stats_hook(self, rng):
         db = random_poll_database(30, 4, rng=rng)
-        reset_parallel_stats()
+        reset_metrics()
         parallel_certain_answers(qa_open(), db, jobs=2, min_facts=0)
         stats = CertaintyEngine(qa_open().query).metrics().parallel
         assert stats["runs"] == 1

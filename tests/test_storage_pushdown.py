@@ -35,7 +35,7 @@ from repro.columnar.executor import COLUMNAR_MIN_FACTS
 from repro.db.database import BatchError, Database
 from repro.fo.compile import CompiledQuery
 from repro.fo.sql import table_name
-from repro.obs import Tracer
+from repro.obs import Tracer, reset_metrics
 from repro.workloads import random_poll_database
 from repro.workloads.queries import poll_qa, poll_qb
 from repro.storage import (
@@ -43,7 +43,6 @@ from repro.storage import (
     compile_plan,
     native_sql_answers,
     native_sql_holds,
-    reset_storage_stats,
     sql_mirror,
     storage_stats,
 )
@@ -60,9 +59,9 @@ x, y = Variable("x"), Variable("y")
 
 @pytest.fixture(autouse=True)
 def _fresh_stats():
-    reset_storage_stats()
+    reset_metrics()
     yield
-    reset_storage_stats()
+    reset_metrics()
 
 
 def make_store(path):
