@@ -136,9 +136,10 @@ class CertaintyEngine:
         ``view.holds`` / ``view.answers`` reflect the new certain
         answers without a full re-execution.  Requires the query to be
         in FO with ``free`` as answer variables, like
-        ``method="compiled"``.  ``tracer`` attaches a
-        :class:`repro.obs.Tracer` to the database's view manager so
-        maintenance work is traced.
+        ``method="compiled"``, and raises
+        :class:`~repro.db.database.BatchError` inside an open batch.
+        ``tracer`` attaches a :class:`repro.obs.Tracer` to the
+        database's view manager so maintenance work is traced.
         """
         from ..incremental import view_manager
 

@@ -1,9 +1,9 @@
 """Incremental certain-answer maintenance over the plan IR.
 
-``IncrementalPlan`` materializes every operator of a compiled plan and
-maintains it under changelog deltas (an Adom* plan keeps only its root
-rows and re-executes on every commit); ``ViewManager``/``View`` expose
-that as registered, always-current certain-answer sets on a database.
+``IncrementalPlan`` keeps a compiled plan's root rows current under
+changelog deltas, each operator holding only what its delta rule reads
+(an Adom* plan re-executes on every commit); ``ViewManager``/``View``
+expose that as registered, always-current certain-answer sets.
 See docs/INCREMENTAL.md for the delta rules and the Adom* case.
 """
 

@@ -1,18 +1,21 @@
-"""Delta execution for the plan IR: materialized per-operator state.
+"""Delta execution for the plan IR: one delta rule per operator.
 
 A :class:`CompiledQuery` plan is a tree (occasionally a DAG, through
 seeded lowering) of set-valued operators.  :class:`IncrementalPlan`
-materializes the output of *every* node once, then keeps all of them up
-to date under the row-level deltas a :class:`~repro.db.changelog.Changelog`
-carries — classic incremental view maintenance, specialized to the
-relational operators of :mod:`repro.fo.plan`:
+keeps the root's output rows up to date under the row-level deltas a
+:class:`~repro.db.changelog.Changelog` carries; every other operator
+keeps only the state its delta rule reads — classic incremental view
+maintenance, specialized to the relational operators of
+:mod:`repro.fo.plan`:
 
-``Scan``/``Project``/``Union``
-    maintain a derivation counter per output row (several base rows or
+``Scan``/``Select``
+    keep nothing: a scan's output columns are every variable of its
+    atom, so it maps the filtered relation delta one to one, and a
+    select filters its child delta;
+``Project``/``Union``
+    maintain a derivation counter per output row (several input rows or
     parts can support the same output row), emitting a delta only on
     0↔positive transitions;
-``Select``
-    is one-to-one on rows, so child deltas are simply filtered;
 ``Join``
     keeps both inputs hash-indexed on the shared columns; because the
     output columns are the union of the input columns, every output row
@@ -23,12 +26,14 @@ relational operators of :mod:`repro.fo.plan`:
     anti-join's output — the retraction-induced insertions that make
     a query certain when a fact leaves a block;
 ``Difference``
-    the same, with the whole row as the key;
+    keeps both input sets;
 ``Literal``
     never changes.
 
 Deltas propagate bottom-up in one pass per batch; clean subtrees (no
-dirty relation below) are skipped entirely.
+dirty relation below) are skipped entirely.  Building a plan inside an
+open batch raises :class:`~repro.db.database.BatchError`: the commit
+would deliver the staged rows a second time.
 
 A plan with an ``Adom*`` node (``AdomProduct``/``AdomGuard``/``AdomEq``,
 which the compiler emits only for unguarded shapes) depends on the
@@ -45,7 +50,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tup
 
 from ..analysis.verifier import plan_uses_adom
 from ..db.changelog import Changelog
-from ..db.database import Database
+from ..db.database import BatchError, Database
 from ..fo.plan import (
     AntiJoin,
     Difference,
@@ -105,13 +110,6 @@ def _apply_counted(
     return ins, dels
 
 
-def _index_rows(rows: Iterable[Row], key) -> Dict[Row, Set[Row]]:
-    out: Dict[Row, Set[Row]] = {}
-    for row in rows:
-        out.setdefault(key(row), set()).add(row)
-    return out
-
-
 def _index_add(index: Dict[Row, Set[Row]], rows: Iterable[Row], key) -> None:
     for row in rows:
         index.setdefault(key(row), set()).add(row)
@@ -128,13 +126,12 @@ def _index_remove(index: Dict[Row, Set[Row]], rows: Iterable[Row], key) -> None:
 
 
 class _NodeState:
-    """Materialized output rows plus operator-specific auxiliaries."""
+    """The auxiliaries one operator's delta rule reads."""
 
-    __slots__ = ("rows", "counts", "lindex", "rindex", "rcounts",
+    __slots__ = ("counts", "lindex", "rindex", "rcounts",
                  "lset", "rset", "lkey", "rkey", "emit")
 
-    def __init__(self, rows: Set[Row]):
-        self.rows: Set[Row] = rows
+    def __init__(self) -> None:
         self.counts: Optional[Dict[Row, int]] = None
         self.lindex: Optional[Dict[Row, Set[Row]]] = None
         self.rindex: Optional[Dict[Row, Set[Row]]] = None
@@ -154,7 +151,7 @@ def _binary_keys(node) -> Tuple[Callable, Callable]:
 
 
 class IncrementalPlan:
-    """One materialized plan, maintained under changelog batches.
+    """One plan's output rows, maintained under changelog batches.
 
     ``constants`` must be the compiled query's constant pool so the
     re-executions of an Adom* plan see the same active domain as a
@@ -162,6 +159,9 @@ class IncrementalPlan:
     """
 
     def __init__(self, plan: Plan, db: Database, constants: Iterable = ()):
+        if db.in_batch:
+            raise BatchError("cannot build a view inside an open batch; "
+                             "commit it first")
         self.plan = plan
         self.constants: Tuple = tuple(constants)
         #: Does the plan depend on active-domain membership?  Then it
@@ -174,11 +174,10 @@ class IncrementalPlan:
         self._state: Dict[int, _NodeState] = {}
         self._order: List[Plan] = []
         self._collect(plan, set())
-        if self.uses_adom:
-            rows = Executor(db, None, self.constants).run(plan)
-            self._state[id(plan)] = _NodeState(set(rows))
-        else:
-            self._materialize(db)
+        ex = Executor(db, None, self.constants)
+        if not self.uses_adom:
+            self._materialize(ex)
+        self._rows: Set[Row] = set(ex.run(plan))
         # Per-batch scratch, valid only inside apply():
         self._memo: Dict[int, RowDelta] = {}
         self._dirty: FrozenSet[str] = frozenset()
@@ -213,20 +212,15 @@ class IncrementalPlan:
     @property
     def rows(self) -> Set[Row]:
         """The maintained output of the root (do not mutate)."""
-        return self._state[id(self.plan)].rows
+        return self._rows
 
-    def _materialize(self, db: Database) -> None:
-        ex = Executor(db, None, self.constants)
+    def _materialize(self, ex: Executor) -> None:
         for node in self._order:
-            state = _NodeState(set(ex.run(node)))
             kind = type(node)
-            if kind is Scan:
-                state.counts = {}
-                getter = _tuple_getter(node.proj)
-                for row in self._scan_source(node, db.facts(node.atom.relation)):
-                    out = getter(row)
-                    state.counts[out] = state.counts.get(out, 0) + 1
-            elif kind is Project:
+            if kind in (Scan, Select, Literal):
+                continue  # their delta rules read no state
+            state = self._state[id(node)] = _NodeState()
+            if kind is Project:
                 state.counts = {}
                 getter = _tuple_getter(node.positions)
                 for row in ex.run(node.child):
@@ -243,11 +237,13 @@ class IncrementalPlan:
                 state.emit = _tuple_getter(
                     [i if side == 0 else width + i for side, i in node.emit]
                 )
-                state.lindex = _index_rows(ex.run(node.left), state.lkey)
-                state.rindex = _index_rows(ex.run(node.right), state.rkey)
+                state.lindex, state.rindex = {}, {}
+                _index_add(state.lindex, ex.run(node.left), state.lkey)
+                _index_add(state.rindex, ex.run(node.right), state.rkey)
             elif kind in (SemiJoin, AntiJoin):
                 state.lkey, state.rkey = _binary_keys(node)
-                state.lindex = _index_rows(ex.run(node.left), state.lkey)
+                state.lindex = {}
+                _index_add(state.lindex, ex.run(node.left), state.lkey)
                 state.rcounts = {}
                 for row in ex.run(node.right):
                     k = state.rkey(row)
@@ -255,7 +251,6 @@ class IncrementalPlan:
             elif kind is Difference:
                 state.lset = set(ex.run(node.left))
                 state.rset = set(ex.run(node.right))
-            self._state[id(node)] = state
 
     @staticmethod
     def _scan_source(node: Scan, rows: Iterable[Row]) -> Iterable[Row]:
@@ -284,9 +279,8 @@ class IncrementalPlan:
         if self.uses_adom:
             self.fallback_recomputes += 1
             new = Executor(db, None, self.constants).run(self.plan)
-            old = self.rows
-            result: RowDelta = (set(new - old), set(old - new))
-            self._update(self.plan, result)
+            result: RowDelta = (new - self._rows, self._rows - new)
+            self.rows_touched += len(result[0]) + len(result[1])
         else:
             self._memo = {}
             self._dirty = log.relations
@@ -297,6 +291,9 @@ class IncrementalPlan:
             finally:
                 self._db = None
                 self._log = None
+        ins, dels = result
+        self._rows.difference_update(dels)
+        self._rows.update(ins)
         self.deltas_applied += 1
         return result
 
@@ -306,25 +303,21 @@ class IncrementalPlan:
             return found
         if self._relations[id(node)] & self._dirty:
             result = self._DELTA_HANDLERS[type(node)](self, node)
+            self.rows_touched += len(result[0]) + len(result[1])
         else:
             result = _EMPTY
         self._memo[id(node)] = result
-        self._update(node, result)
         return result
-
-    def _update(self, node: Plan, delta: RowDelta) -> None:
-        """Fold a node's output delta into its stored rows."""
-        ins, dels = delta
-        if ins or dels:
-            rows = self._state[id(node)].rows
-            rows.difference_update(dels)
-            rows.update(ins)
-            self.rows_touched += len(ins) + len(dels)
 
     # -- per-operator delta rules --------------------------------------
 
     def _d_scan(self, node: Scan) -> RowDelta:
-        state = self._state[id(node)]
+        # No counts: ``Scan.cols`` is every variable of the atom, so the
+        # rows passing the constant and equality checks map one to one
+        # onto output rows.  The relation's net delta holds only genuine
+        # mutations since the last commit, the state the plan was built
+        # from (``__init__`` refuses an open batch), so its image is
+        # exactly the scan's output delta.
         schema = self._db.schemas.get(node.atom.relation)
         if schema is None or schema.arity != node.atom.schema.arity:
             return _EMPTY
@@ -332,9 +325,8 @@ class IncrementalPlan:
         if delta is None:
             return _EMPTY
         getter = _tuple_getter(node.proj)
-        dec = [getter(r) for r in self._scan_source(node, delta.deleted)]
-        inc = [getter(r) for r in self._scan_source(node, delta.inserted)]
-        return _apply_counted(state.counts, dec, inc)
+        return ({getter(r) for r in self._scan_source(node, delta.inserted)},
+                {getter(r) for r in self._scan_source(node, delta.deleted)})
 
     def _d_literal(self, node: Literal) -> RowDelta:
         return _EMPTY

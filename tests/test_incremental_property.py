@@ -15,15 +15,16 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+from repro.core.atoms import atom
 from repro.core.classify import Verdict, classify
-from repro.core.terms import Variable
+from repro.core.terms import Constant, Variable
 from repro.cqa.brute_force import is_certain_brute_force
 from repro.cqa.certain_answers import OpenQuery, certain_answers
 from repro.cqa.engine import CertaintyEngine
 from repro.fo.compile import compile_formula
-from repro.fo.formula import free_variables
+from repro.fo.formula import AtomF, free_variables, make_and, make_not
 from repro.incremental import ViewManager
 from repro.workloads.generators import (
     QueryParams,
@@ -46,6 +47,20 @@ ops_lists = st.lists(
 )
 
 
+#: ``R(x | x) ∧ ¬R(x | 1)`` compiles to ``AntiJoin on [x](Scan R(x, x),
+#: Scan R(x, 1))``: one scan with an equality check, one with a constant.
+#: The formula strategy puts no constant inside an atom, so pin them.
+#: The last op inserts a row that passes neither scan's pattern.
+_x = Variable("x")
+CHECKED_SCANS = make_and([AtomF(atom("R", [_x], [_x])),
+                          make_not(AtomF(atom("R", [_x], [Constant(1)])))])
+CHECKED_SCAN_ROWS = [(0, 0), (1, 1), (2, 1)]
+CHECKED_SCAN_OPS = [(False, "R", (1, 1)), (True, "R", (1, 1)),
+                    (True, "R", (0, 1)), (False, "R", (0, 0)),
+                    (True, "R", (0, 0)), (False, "R", (0, 1)),
+                    (True, "R", (0, 2))]
+
+
 def _apply(db, insert, relation, row):
     row = row if relation == "R" else row[:1]
     if insert:
@@ -63,6 +78,7 @@ def _observe(view, free):
 
 
 @given(formulas, rows2, rows1, ops_lists)
+@example(CHECKED_SCANS, CHECKED_SCAN_ROWS, [], CHECKED_SCAN_OPS)
 @settings(max_examples=60, deadline=None)
 def test_view_matches_recompute_per_mutation(formula, r_rows, s_rows, ops):
     """Single-op commits: after every mutation the maintained answers
@@ -79,6 +95,7 @@ def test_view_matches_recompute_per_mutation(formula, r_rows, s_rows, ops):
 
 
 @given(formulas, rows2, rows1, ops_lists, st.integers(1, 5))
+@example(CHECKED_SCANS, CHECKED_SCAN_ROWS, [], CHECKED_SCAN_OPS, 3)
 @settings(max_examples=40, deadline=None)
 def test_view_matches_recompute_per_batch(formula, r_rows, s_rows, ops,
                                           batch_size):

@@ -3,15 +3,17 @@ ViewManager, the delta engine's visible behavior, and the engine API."""
 
 import pytest
 
-from repro.core.terms import Variable
+from repro.core.parser import parse_query
+from repro.core.terms import Constant, Variable
 from repro.cqa.certain_answers import OpenQuery, certain_answers
 from repro.cqa.engine import CertaintyEngine
 from repro.cqa.rewriting import NotInFO
 from repro.core.atoms import RelationSchema, atom
 from repro.core.query import Query
+from repro.db.database import BatchError
 from repro.fo.compile import compile_formula
-from repro.fo.formula import AtomF, make_not
-from repro.fo.plan import Plan, Project
+from repro.fo.formula import AtomF, Eq, make_and, make_not
+from repro.fo.plan import Join, Literal, Plan, Project, Scan, Select
 from repro.incremental import (
     DeltaError,
     IncrementalPlan,
@@ -21,11 +23,12 @@ from repro.incremental import (
     view_stats,
 )
 from repro.obs import reset_metrics
+from repro.storage import PersistentDatabase
 from repro.workloads.queries import poll_qa, q3
 
 from conftest import db_from
 
-x, y = Variable("x"), Variable("y")
+x, y, z, p = Variable("x"), Variable("y"), Variable("z"), Variable("p")
 
 
 def q3_db():
@@ -112,6 +115,70 @@ class TestBatches:
             db.discard("P", (2, "z"))
         assert view.answers == frozenset()
         assert view.changed_since(v0) == (frozenset(), frozenset())
+
+
+class TestOpenBatch:
+    """A view is built from the database as it stands.  Inside an open
+    batch that state already shows the staged rows, and the commit would
+    deliver them to the view a second time, so registration is refused."""
+
+    LIVES_NOT_BORN = "Lives(p | t), not Born(p | t)"
+
+    def lives_db(self):
+        return db_from({"Lives/2/1": [("a", "x"), ("b", "y")],
+                        "Born/2/1": [("b", "z")]})
+
+    def register(self, db):
+        return ViewManager(db).register_view(
+            parse_query(self.LIVES_NOT_BORN), [p])
+
+    def assert_tracks_compiled(self, db, view):
+        oq = OpenQuery(parse_query(self.LIVES_NOT_BORN), [p])
+        assert view.answers == certain_answers(oq, db, "compiled")
+
+    def test_staged_insert_refuses_registration(self):
+        db = self.lives_db()
+        db.begin_batch()
+        db.add("Lives", ("c", "x"))
+        with pytest.raises(BatchError, match="open batch"):
+            self.register(db)
+        db.commit()
+        view = self.register(db)
+        db.discard("Lives", ("c", "x"))
+        assert view.answers == {("a",), ("b",)}
+        self.assert_tracks_compiled(db, view)
+
+    def test_staged_discard_refuses_registration(self):
+        db = self.lives_db()
+        db.begin_batch()
+        db.discard("Lives", ("a", "x"))
+        with pytest.raises(BatchError, match="open batch"):
+            self.register(db)
+        db.commit()
+        view = self.register(db)
+        assert view.answers == {("b",)}
+        db.add("Lives", ("a", "x"))
+        self.assert_tracks_compiled(db, view)
+
+    def test_refused_store_registration_keeps_the_manifest(self, tmp_path):
+        store = PersistentDatabase(tmp_path / "store")
+        for name in ("Lives", "Born"):
+            store.add_relation(RelationSchema(name, 2, 1))
+        store.add("Lives", ("a", "x"))
+        store.register_view(parse_query(self.LIVES_NOT_BORN), [p])
+        manifest = store.path / "views.json"
+        before = manifest.read_bytes()
+        store.begin_batch()
+        store.add("Lives", ("c", "x"))
+        with pytest.raises(BatchError):
+            store.register_view(parse_query("Lives(p | t)"), [p])
+        store.commit()
+        assert manifest.read_bytes() == before
+        assert len(store.views) == 1
+        store.close()
+        reopened = PersistentDatabase(tmp_path / "store")
+        assert reopened.storage_status()["views"] == 1
+        reopened.close()
 
 
 class TestChangedSince:
@@ -255,6 +322,51 @@ class TestStats:
         assert stats["commits_seen"] == 1
         assert stats["deltas_applied"] == 1
         assert stats["rows_touched"] >= 1
+
+
+class TestStateShape:
+    """Each operator keeps only what its delta rule reads: the root
+    keeps the output rows, Scan, Select and Literal keep nothing."""
+
+    #: ``R(x | y) ∧ R(y | z) ∧ x ≠ z ∧ z = 1``: a Select over a Join
+    #: whose left input semi-joins a Literal.
+    JOIN_FORMULA = make_and([AtomF(atom("R", [x], [y])),
+                             AtomF(atom("R", [y], [z])),
+                             make_not(Eq(x, z)), Eq(z, Constant(1))])
+
+    def test_only_delta_rule_state_is_kept(self):
+        db = db_from({
+            "Lives/2/1": [("ann", "mons"), ("ann", "paris"), ("bob", "rome")],
+            "Born/2/1": [("ann", "rome")],
+            "Likes/2/2": [("bob", "rome")],
+            "R/2/1": [(0, 1), (1, 1), (2, 0)],
+        })
+        manager = ViewManager(db)
+        views = [
+            manager.register_view(poll_qa(), [p]),
+            manager.register_formula(self.JOIN_FORMULA, [x, y, z]),
+        ]
+        kinds = set()
+        for view in views:
+            inc = view.incremental
+            for node in inc._order:
+                kinds.add(type(node))
+                if type(node) in (Scan, Select, Literal):
+                    assert id(node) not in inc._state, node
+            for state in inc._state.values():
+                assert not hasattr(state, "rows")
+        assert {Scan, Select, Literal, Join} <= kinds
+        assert views[1].answers == {(0, 1, 1), (2, 0, 1)}
+        with db.batch():
+            db.add("Likes", ("ann", "mons"))
+            db.add("R", (1, 2))
+        db.discard("Likes", ("bob", "rome"))
+        db.discard("R", (2, 0))
+        db.add("R", (0, 2))
+        for view in views:
+            compiled = compile_formula(view.formula, view.free)
+            assert view.incremental.rows == compiled.rows(db)
+        assert views[1].answers == {(0, 1, 1)}
 
 
 class TestAdomFallback:
