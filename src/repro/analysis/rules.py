@@ -386,20 +386,20 @@ def check_plan_cache(
 def check_wal_compaction(
     info: RuleInfo, ctx: AnalysisContext
 ) -> Iterator[Diagnostic]:
-    from ..storage.store import PersistentDatabase, checkpoint_threshold_bytes
+    from ..storage import store
 
-    if not (isinstance(ctx.db, PersistentDatabase) and ctx.db.is_open):
+    if not (isinstance(ctx.db, store.PersistentDatabase) and ctx.db.is_open):
         return
     status = ctx.db.storage_status()
-    threshold = checkpoint_threshold_bytes()
+    threshold = store.DEFAULT_CHECKPOINT_BYTES
     wal_bytes = int(status["wal_bytes"])
     if wal_bytes < threshold:
         return
     yield info.diagnostic(
         f"WAL holds {wal_bytes:,} bytes across "
-        f"{status['wal_segments']} segment(s), past the "
-        f"REPRO_WAL_CHECKPOINT_BYTES threshold ({threshold:,}): every "
-        f"recovery replays this tail in full",
+        f"{status['wal_segments']} segment(s), past the checkpoint "
+        f"threshold ({threshold:,}): every recovery replays this tail "
+        f"in full",
         fix="run `repro db checkpoint <path>` to compact, or set "
             "REPRO_WAL_AUTOCHECKPOINT_BYTES to checkpoint automatically "
             "on commit",

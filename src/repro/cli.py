@@ -29,7 +29,7 @@ from .cqa.certain_answers import (
     certain_answers,
     certain_answers_sql_query,
 )
-from .cqa.engine import CertaintyEngine, METHODS
+from .cqa.engine import CertaintyEngine
 from .cqa.explain import explain
 from .cqa.rewriting import NotInFO, Rewriter
 from .db.io import load_database_file
@@ -39,6 +39,7 @@ from .fo.sql import compile_to_sql
 from .fo.stats import pretty, stats
 from .lint import LintError, lint_text
 from .obs import (
+    KNOWN_METHODS,
     ExecutionOptions,
     PlanProfile,
     Tracer,
@@ -266,16 +267,19 @@ def _print_stats() -> None:
 
 
 def _execution_options(args: argparse.Namespace) -> ExecutionOptions:
-    """The ExecutionOptions for a query command: --method/--jobs plus
-    the trace flags, with env fallbacks included (overrides beat env)."""
+    """The ExecutionOptions for a query command: --method and --jobs."""
     if getattr(args, "json", False) and not args.trace:
         raise SystemExit("error: --json requires --trace")
     method = _method_with_jobs(args)
-    return ExecutionOptions.from_env(
-        method=method,
-        jobs=args.jobs if method == "parallel" else None,
-        trace_file=args.trace_out,
-    )
+    jobs = args.jobs if method == "parallel" else None
+    return ExecutionOptions(method, jobs)
+
+
+def _cli_tracer(args: argparse.Namespace) -> Optional[Tracer]:
+    """A fresh Tracer when --trace or --trace-out asks for spans."""
+    if getattr(args, "trace", False) or args.trace_out:
+        return Tracer()
+    return None
 
 
 def _print_trace(tracer) -> None:
@@ -290,12 +294,11 @@ def _print_trace(tracer) -> None:
         print(render_profile(plan, profile))
 
 
-def _flush_trace(tracer, options: ExecutionOptions) -> None:
-    """Append the span JSONL when the options name a trace file."""
-    if tracer is not None and options.trace_file:
-        n = tracer.write_jsonl(options.trace_file)
-        print(f"wrote {n} span records to {options.trace_file}",
-              file=sys.stderr)
+def _flush_trace(tracer: Optional[Tracer], path: Optional[str]) -> None:
+    """Append the span JSONL to --trace-out's file, when given."""
+    if tracer is not None and path:
+        n = tracer.write_jsonl(path)
+        print(f"wrote {n} span records to {path}", file=sys.stderr)
 
 
 def _method_with_jobs(args: argparse.Namespace) -> str:
@@ -326,7 +329,7 @@ def cmd_certain(args: argparse.Namespace) -> int:
     query = _parse_query_arg(args.query)
     options = _execution_options(args)
     method = options.method
-    tracer = Tracer() if args.trace else options.make_tracer()
+    tracer = _cli_tracer(args)
     db = _load_db(args)
     try:
         engine = CertaintyEngine(query)
@@ -341,7 +344,7 @@ def cmd_certain(args: argparse.Namespace) -> int:
                 _print_trace(tracer)
     finally:
         _close_db(db)
-    _flush_trace(tracer, options)
+    _flush_trace(tracer, args.trace_out)
     if args.stats:
         _print_stats()
     return 0
@@ -353,7 +356,7 @@ def cmd_answers(args: argparse.Namespace) -> int:
     query = _parse_query_arg(args.query)
     options = _execution_options(args)
     method = options.method
-    tracer = Tracer() if args.trace else options.make_tracer()
+    tracer = _cli_tracer(args)
     free = [Variable(name.strip()) for name in args.free.split(",") if name.strip()]
     open_query = OpenQuery(query, free)
     db = _load_db(args)
@@ -377,7 +380,7 @@ def cmd_answers(args: argparse.Namespace) -> int:
                 _print_trace(tracer)
     finally:
         _close_db(db)
-    _flush_trace(tracer, options)
+    _flush_trace(tracer, args.trace_out)
     if args.stats:
         _print_stats()
     return 0
@@ -412,8 +415,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
     from .incremental import view_manager
 
     query = _parse_query_arg(args.query)
-    options = ExecutionOptions.from_env(trace_file=args.trace_out)
-    tracer = options.make_tracer()
+    tracer = _cli_tracer(args)
     db = _load_db(args)
     free = [Variable(n.strip()) for n in args.free.split(",") if n.strip()]
     manager = view_manager(db, tracer=tracer)
@@ -496,7 +498,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
     else:
         print(f"final: CERTAINTY = {view.holds} at v{db.clock} "
               f"({commits} update batches)")
-    _flush_trace(tracer, options)
+    _flush_trace(tracer, args.trace_out)
     if args.stats:
         _print_stats()
     return 0
@@ -555,8 +557,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis import analyze_text
 
-    options = ExecutionOptions.from_env(trace_file=args.trace_out)
-    tracer = options.make_tracer()
+    tracer = _cli_tracer(args)
     free = tuple(
         Variable(n.strip()) for n in args.free.split(",") if n.strip()
     )
@@ -571,7 +572,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(report.render_text())
     finally:
         _close_db(db) if db is not None else None
-    _flush_trace(tracer, options)
+    _flush_trace(tracer, args.trace_out)
     return 1 if report.errors else 0
 
 
@@ -789,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="durable store directory (repro db init); "
                         "mutually exclusive with --db")
     p.add_argument("--method", default="auto",
-                   choices=("auto",) + METHODS,
+                   choices=KNOWN_METHODS,
                    help="solving strategy (auto: brute outside FO, "
                         "else the compiled plan's short-circuit probe; "
                         "sql only when asked)")
@@ -805,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(requires --trace; shape: docs/trace.schema.json)")
     p.add_argument("--trace-out", default=None, metavar="FILE",
                    help="append span JSONL records to FILE (implies "
-                        "tracing; env fallback: REPRO_TRACE_FILE)")
+                        "tracing)")
     p.add_argument("--stats", action="store_true",
                    help="also print the unified EngineMetrics JSON")
     p.set_defaults(func=cmd_certain)
@@ -820,8 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="durable store directory (repro db init); "
                         "mutually exclusive with --db")
     p.add_argument("--method", default="auto",
-                   choices=("auto", "brute", "interpreted", "rewriting",
-                            "compiled", "sql", "parallel", "columnar"),
+                   choices=KNOWN_METHODS,
                    help="solving strategy (auto: brute outside FO, "
                         "else columnar on databases of at least 4000 "
                         "facts and compiled below that; sql only when "
@@ -839,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(requires --trace; shape: docs/trace.schema.json)")
     p.add_argument("--trace-out", default=None, metavar="FILE",
                    help="append span JSONL records to FILE (implies "
-                        "tracing; env fallback: REPRO_TRACE_FILE)")
+                        "tracing)")
     p.add_argument("--stats", action="store_true",
                    help="also print the unified EngineMetrics JSON")
     p.set_defaults(func=cmd_answers)
@@ -862,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "'+ R v1 v2', '- R v1 v2', 'begin', 'commit')")
     p.add_argument("--trace-out", default=None, metavar="FILE",
                    help="append maintenance span JSONL records to FILE at "
-                        "EOF (env fallback: REPRO_TRACE_FILE)")
+                        "EOF")
     p.add_argument("--stats", action="store_true",
                    help="print the unified EngineMetrics JSON at EOF")
     p.set_defaults(func=cmd_watch)
@@ -917,8 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "docs/diagnostics.schema.json, github emits "
                         "workflow-command annotations")
     p.add_argument("--trace-out", default=None, metavar="FILE",
-                   help="append analysis span JSONL records to FILE "
-                        "(env fallback: REPRO_TRACE_FILE)")
+                   help="append analysis span JSONL records to FILE")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("profile",

@@ -19,7 +19,7 @@ from .brute_force import (
     is_certain_brute_force,
     is_certain_sampled,
 )
-from .engine import CertaintyEngine, CrossValidation, METHODS, certain
+from .engine import CertaintyEngine, CrossValidation, certain
 from .explain import (
     CertaintyEvidence,
     UncertaintyExplanation,
@@ -48,7 +48,6 @@ __all__ = [
     "CertaintyEvidence",
     "CertaintyInterpreter",
     "CrossValidation",
-    "METHODS",
     "FractionEstimate",
     "NotInFO",
     "OpenQuery",

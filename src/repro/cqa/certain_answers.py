@@ -84,7 +84,7 @@ from ..fo.formula import (
 from ..fo.simplify import simplify_fixpoint
 from ..fo.sql import SQLCompiler
 from ..lint import lint_query
-from ..obs.options import ExecutionOptions, close_tracer, open_tracer
+from ..obs.options import ExecutionOptions
 from ..obs.profile import PlanProfile
 from ..obs.trace import NULL_TRACER
 from .brute_force import is_certain_brute_force
@@ -372,17 +372,13 @@ def certain_answers(
 
     ``tracer`` (a :class:`repro.obs.Tracer`) records phase spans and,
     for the plan-executing methods, a per-operator
-    :class:`repro.obs.PlanProfile` attached via ``tracer.add_profile``;
-    without an explicit tracer, the options' ``trace_file`` creates (and
-    flushes) one.  Tracing never changes the answers — the parity tests
-    in ``tests/test_obs.py`` pin that down for every method.
+    :class:`repro.obs.PlanProfile` attached via ``tracer.add_profile``.
+    It is the only way to trace a call: the caller owns the tracer and
+    decides where its spans go.  Tracing never changes the answers —
+    the parity tests in ``tests/test_obs.py`` pin that down for every
+    method.
     """
-    opts = ExecutionOptions.coerce(options)
-    tracer, own = open_tracer(opts, tracer)
-    try:
-        return _dispatch(open_query, db, opts, tracer)
-    finally:
-        close_tracer(opts, tracer, own)
+    return _dispatch(open_query, db, ExecutionOptions.coerce(options), tracer)
 
 
 def _dispatch(

@@ -26,9 +26,6 @@ from ..lint import LintResult, lint_query
 from .certain_answers import SERIAL_FO_METHODS, OpenQuery, require_fo
 from .rewriting import consistent_rewriting
 
-METHODS = ("brute", "interpreted", "rewriting", "compiled", "sql",
-           "parallel", "columnar")
-
 
 @dataclass
 class CrossValidation:

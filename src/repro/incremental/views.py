@@ -156,13 +156,16 @@ class ViewManager:
     ``view-maintain`` span per committed batch — delta sizes, rows
     touched, and fallback recomputes — plus a per-view event when a
     view's answers actually move.
+
+    Each view keeps the answer deltas of its last :attr:`history_limit`
+    (256) batches for :meth:`View.changed_since`.
     """
 
-    def __init__(self, db: Database, history_limit: int = 256, tracer=None):
+    def __init__(self, db: Database, tracer=None):
         from ..obs.trace import NULL_TRACER
 
         self.db = db
-        self.history_limit = history_limit
+        self.history_limit = 256
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._views: List[View] = []
         self.commits_seen = 0
@@ -288,8 +291,7 @@ class ViewManager:
         return out
 
 
-def view_manager(db: Database, history_limit: int = 256,
-                 tracer=None) -> ViewManager:
+def view_manager(db: Database, tracer=None) -> ViewManager:
     """The database's attached view manager, created on first use.
 
     One manager per database keeps subscription bookkeeping in one
@@ -299,7 +301,7 @@ def view_manager(db: Database, history_limit: int = 256,
     """
     manager = getattr(db, "_view_manager", None)
     if manager is None:
-        manager = ViewManager(db, history_limit, tracer=tracer)
+        manager = ViewManager(db, tracer=tracer)
         db._view_manager = manager  # type: ignore[attr-defined]
     elif tracer is not None:
         manager.tracer = tracer

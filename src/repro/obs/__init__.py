@@ -7,7 +7,7 @@ inferable from end-to-end wall clock:
 
 * :mod:`repro.obs.trace` — a :class:`Tracer` with nestable spans
   (monotonic-clock timings, counters, tags), a zero-overhead no-op
-  default, and JSONL export (``REPRO_TRACE_FILE`` / ``--trace-out``);
+  default, and JSONL export (the callers' ``--trace-out``);
 * :mod:`repro.obs.profile` — per-operator plan profiling
   (:class:`PlanProfile`) and the ``EXPLAIN ANALYZE``-style renderers
   behind ``repro plan --analyze`` and ``repro certain --trace``;
@@ -16,10 +16,9 @@ inferable from end-to-end wall clock:
   :class:`EngineMetrics`, its typed snapshot over the plan cache,
   parallel executor, incremental views, columnar backend and storage;
 * :mod:`repro.obs.options` — :class:`ExecutionOptions`, the one
-  frozen per-call options object (method, jobs, trace, trace file;
-  ``REPRO_TRACE_FILE`` is its only env fallback), with a strict JSON
-  round-trip that doubles as the ``repro serve`` wire form
-  (``docs/serve.schema.json``);
+  frozen per-call options object (``method`` and ``jobs``; no env
+  fallback), with a strict JSON round-trip that doubles as the
+  ``repro serve`` wire form (``docs/serve.schema.json``);
 * :mod:`repro.obs.schema` — a dependency-free JSON-Schema-subset
   validator used by the ``trace-smoke`` CI job against
   ``docs/trace.schema.json``.

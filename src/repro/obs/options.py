@@ -1,37 +1,31 @@
 """``ExecutionOptions``: one frozen request object for every engine call.
 
-Three fields — ``method``, ``jobs`` and ``trace_file`` — are the whole
-call surface; the routing gates behind ``auto`` are module constants
-next to the router that reads them.  A strict JSON
-round-trip (:meth:`to_dict` / :meth:`from_dict`) makes the same object
-the wire form of a ``repro serve`` request body
-(``docs/serve.schema.json``).
+Two fields — ``method`` and ``jobs`` — are the whole call surface;
+the routing gates behind ``auto`` are module constants next to the
+router that reads them.  A strict JSON round-trip (:meth:`to_dict` /
+:meth:`from_dict`) makes the same object the wire form of a
+``repro serve`` request body (``docs/serve.schema.json``).
 
 Accepted by :meth:`repro.cqa.engine.CertaintyEngine.certain`,
 :meth:`~repro.cqa.engine.CertaintyEngine.certain_answers`, and the
 module-level :func:`repro.cqa.certain_answers.certain_answers` as the
 ``options`` parameter, which also takes a bare method string
 (``"compiled"``) as blessed shorthand.  It is the only way to pass a
-method, a worker count or a trace file to those calls; a caller that
-wants to read spans passes its own ``tracer=``.
+method or a worker count to those calls.  Tracing is not an option: a
+caller that wants spans passes its own ``tracer=`` and writes them
+where it likes.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-__all__ = [
-    "ExecutionOptions",
-    "KNOWN_METHODS",
-    "OptionsError",
-    "close_tracer",
-    "open_tracer",
-]
+__all__ = ["ExecutionOptions", "KNOWN_METHODS", "OptionsError"]
 
 #: Every accepted ``method`` value: ``auto`` plus the engine's
-#: strategies (:data:`repro.cqa.engine.METHODS`).
+#: strategies.  The one list: the CLI's ``--method`` choices read it,
+#: and ``docs/serve.schema.json``'s ``method.enum`` must equal it.
 KNOWN_METHODS: Tuple[str, ...] = (
     "auto", "brute", "interpreted", "rewriting", "compiled", "sql",
     "parallel", "columnar",
@@ -55,15 +49,10 @@ class ExecutionOptions:
         mirroring the CLI's ``--jobs`` semantics.
     ``jobs``
         Worker count for the parallel path (None: CPU count).
-    ``trace_file``
-        Collect spans and per-operator profiles and append them as
-        span JSONL to this file after the call.  When the caller passes
-        no explicit ``tracer=``, the engine creates and flushes one.
     """
 
     method: str = "auto"
     jobs: Optional[int] = None
-    trace_file: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.method, str) or self.method not in KNOWN_METHODS:
@@ -76,8 +65,6 @@ class ExecutionOptions:
             or self.jobs < 1
         ):
             raise OptionsError("jobs must be a positive integer")
-        if self.trace_file is not None and not isinstance(self.trace_file, str):
-            raise OptionsError("trace_file must be a string")
         if self.jobs is not None and self.method not in ("auto", "parallel"):
             raise OptionsError(
                 f"jobs= only applies to method='parallel', not "
@@ -128,27 +115,6 @@ class ExecutionOptions:
             )
         return cls(**dict(payload))
 
-    @classmethod
-    def from_env(
-        cls,
-        env: Optional[Mapping[str, str]] = None,
-        **overrides: Any,
-    ) -> "ExecutionOptions":
-        """Env-derived defaults with explicit overrides winning.
-
-        The one reader of ``REPRO_TRACE_FILE`` (the ``trace_file``
-        fallback); a ``None`` override keeps the env-derived value.
-        """
-        if env is None:
-            env = os.environ
-        merged: Dict[str, Any] = {
-            "trace_file": (env.get("REPRO_TRACE_FILE") or "").strip() or None,
-        }
-        for key, value in overrides.items():
-            if value is not None:
-                merged[key] = value
-        return cls(**merged)
-
     # -- wire form ----------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
@@ -178,40 +144,3 @@ class ExecutionOptions:
         if self.method == "auto" and self.jobs is not None:
             return "parallel"
         return self.method
-
-    @property
-    def tracing(self) -> bool:
-        """Is tracing requested (by a trace file)?"""
-        return self.trace_file is not None
-
-    def make_tracer(self) -> Optional[Any]:
-        """A fresh :class:`~repro.obs.trace.Tracer` when tracing is on."""
-        if not self.tracing:
-            return None
-        from .trace import Tracer
-
-        return Tracer()
-
-
-def open_tracer(
-    opts: ExecutionOptions, tracer: Optional[Any]
-) -> Tuple[Optional[Any], bool]:
-    """The tracer an engine call should run under.
-
-    An explicit ``tracer=`` always wins (the caller owns it); otherwise
-    the options' ``trace_file`` creates one the engine owns — flushed
-    by :func:`close_tracer` on the way out.
-    Returns ``(tracer_or_None, engine_owns_it)``.
-    """
-    if tracer is not None:
-        return tracer, False
-    made = opts.make_tracer()
-    return made, made is not None
-
-
-def close_tracer(
-    opts: ExecutionOptions, tracer: Optional[Any], own: bool
-) -> None:
-    """Flush an engine-owned tracer's span JSONL when configured."""
-    if own and tracer is not None and opts.trace_file:
-        tracer.write_jsonl(opts.trace_file)

@@ -173,12 +173,6 @@ def _free_field(body: Dict[str, Any]) -> Tuple[str, ...]:
 
 def _options_field(body: Dict[str, Any]) -> ExecutionOptions:
     raw = body.get("options")
-    if isinstance(raw, dict) and "trace_file" in raw:
-        raise HttpError(
-            400, "bad-options",
-            "option 'trace_file' is not accepted over the wire; "
-            "tracing is configured server-side via --trace-out",
-        )
     try:
         return ExecutionOptions.coerce(raw)
     except OptionsError as exc:
@@ -208,8 +202,7 @@ class ReproServer:
 
     def __init__(self, db: Database, *, host: str = "127.0.0.1",
                  port: int = 8100, jobs: Optional[int] = None,
-                 trace_file: Optional[str] = None,
-                 history_limit: int = 256):
+                 trace_file: Optional[str] = None):
         self.db = db
         self.host = host
         self.port = port
@@ -225,7 +218,7 @@ class ReproServer:
         self._engines: Dict[str, CertaintyEngine] = {}
         self._views: Dict[str, View] = {}
         self._view_specs: Dict[str, Dict[str, Any]] = {}
-        self._manager = view_manager(db, history_limit=history_limit)
+        self._manager = view_manager(db)
         self._ids = itertools.count(1)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
@@ -761,13 +754,14 @@ class ReproServer:
     def _view_summary(self, name: str, view: View,
                       created: Optional[bool] = None) -> Dict[str, Any]:
         spec = self._view_specs[name]
+        answers = view.answers
         out: Dict[str, Any] = {
             "name": name,
             "query": spec["query"],
             "free": list(spec["free"]),
             "version": view.version,
-            "count": len(view.answers),
-            "digest": answers_digest(view.answers),
+            "count": len(answers),
+            "digest": answers_digest(answers),
         }
         if created is not None:
             out["created"] = created

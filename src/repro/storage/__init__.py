@@ -29,7 +29,6 @@ from .store import (
     DEFAULT_CHECKPOINT_BYTES,
     PersistentDatabase,
     StorageError,
-    checkpoint_threshold_bytes,
     open_database,
     query_from_dict,
     query_to_dict,
@@ -61,7 +60,6 @@ __all__ = [
     "SQL_STMT_CACHE_SIZE",
     "CompiledSQL",
     "compile_plan",
-    "checkpoint_threshold_bytes",
     "DEFAULT_CHECKPOINT_BYTES",
     "storage_stats",
     "run_chaos",

@@ -71,19 +71,13 @@ from .wal import (
 
 __all__ = ["StorageError", "PersistentDatabase", "open_database",
            "verify_store", "query_to_dict", "query_from_dict",
-           "checkpoint_threshold_bytes", "DEFAULT_CHECKPOINT_BYTES"]
+           "DEFAULT_CHECKPOINT_BYTES"]
 
 _VIEWS_FILE = "views.json"
 _STORE_GLOBS = ("snapshot-*.snap", "wal-*.log", _VIEWS_FILE)
 
 #: Past this many live WAL bytes, a checkpoint is overdue (QP111).
 DEFAULT_CHECKPOINT_BYTES = 16 * 1024 * 1024
-
-
-def checkpoint_threshold_bytes() -> int:
-    """The ``REPRO_WAL_CHECKPOINT_BYTES`` compaction-overdue threshold."""
-    raw = os.environ.get("REPRO_WAL_CHECKPOINT_BYTES", "").strip()
-    return int(raw) if raw.isdigit() else DEFAULT_CHECKPOINT_BYTES
 
 
 class StorageError(RuntimeError):

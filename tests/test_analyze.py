@@ -226,12 +226,12 @@ class TestQPRules:
 
     def test_qp111_wal_past_threshold(self, tmp_path, monkeypatch):
         from repro.core.atoms import RelationSchema
-        from repro.storage import PersistentDatabase
+        from repro.storage import PersistentDatabase, store
 
         db = PersistentDatabase(tmp_path / "store")
         db.add_relation(RelationSchema("R", 2, 1))
         db.add("R", ("a", "1"))
-        monkeypatch.setenv("REPRO_WAL_CHECKPOINT_BYTES", "1")
+        monkeypatch.setattr(store, "DEFAULT_CHECKPOINT_BYTES", 1)
         codes = {d.code for d in run_qp_rules(AnalysisContext(db=db))}
         assert "QP111" in codes
         # A checkpoint prunes the WAL; the diagnostic clears.
@@ -242,14 +242,14 @@ class TestQPRules:
 
     def test_qp111_end_to_end_via_cli(self, tmp_path, monkeypatch, capsys):
         from repro.core.atoms import RelationSchema
-        from repro.storage import PersistentDatabase
+        from repro.storage import PersistentDatabase, store
 
         db = PersistentDatabase(tmp_path / "store")
         db.add_relation(RelationSchema("P", 2, 1))
         db.add_relation(RelationSchema("N", 2, 1))
         db.add("P", ("a", "1"))
         db.close()
-        monkeypatch.setenv("REPRO_WAL_CHECKPOINT_BYTES", "1")
+        monkeypatch.setattr(store, "DEFAULT_CHECKPOINT_BYTES", 1)
         assert main(["analyze", "P(x | y), not N('c' | y)",
                      "--db-path", str(tmp_path / "store")]) == 0
         assert "QP111" in capsys.readouterr().out

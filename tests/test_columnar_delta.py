@@ -626,6 +626,11 @@ def test_readers_racing_a_writer_see_committed_answers():
     version = [0]
     done = threading.Event()
     seen = []
+    # The write-preferring lock could let the writer run every batch
+    # before a reader gets in; before each batch the writer waits until
+    # some read has landed at the current version.
+    recorded = threading.Condition()
+    read_versions = set()
 
     def reader(oq):
         while True:
@@ -633,16 +638,24 @@ def test_readers_racing_a_writer_see_committed_answers():
             with lock.reading():
                 at = version[0]
                 got = certain_answers(oq, db, "columnar")
-            seen.append((oq, at, got))
+            with recorded:
+                seen.append((oq, at, got))
+                read_versions.add(at)
+                recorded.notify_all()
             if last:
                 return
 
     def writer():
-        for batch in batches:
-            with lock.writing():
-                apply_batch(db, batch)
-                version[0] += 1
-        done.set()
+        try:
+            for batch in batches:
+                with recorded:
+                    recorded.wait_for(lambda: version[0] in read_versions,
+                                      timeout=30)
+                with lock.writing():
+                    apply_batch(db, batch)
+                    version[0] += 1
+        finally:
+            done.set()
 
     reused = columnar_stats()["answers_reused"]
     interval = sys.getswitchinterval()

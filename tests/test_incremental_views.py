@@ -209,7 +209,9 @@ class TestChangedSince:
 
     def test_stale_version_raises(self):
         db = q3_db()
-        view = ViewManager(db, history_limit=1).register_view(q3(), [x])
+        manager = ViewManager(db)
+        manager.history_limit = 1
+        view = manager.register_view(q3(), [x])
         v0 = view.version
         db.discard("N", ("c", "a"))
         db.add("N", ("c", "a"))  # second changing commit trims the first

@@ -664,13 +664,30 @@ class TestCliTracing:
         err = capsys.readouterr().err
         assert "span records" in err
 
-    def test_trace_file_env_fallback(self, capsys, tmp_path, poll_file,
-                                     monkeypatch):
-        out_file = tmp_path / "env.jsonl"
-        monkeypatch.setenv("REPRO_TRACE_FILE", str(out_file))
-        assert main(["certain", QA, "--db", poll_file]) == 0
-        capsys.readouterr()
-        assert read_jsonl(str(out_file))
+    @pytest.mark.parametrize("command, span", [
+        ("certain", "certain"),
+        ("answers", "certain-answers"),
+        ("watch", "view-maintain"),
+        ("analyze", "analyze.rules"),
+    ])
+    def test_trace_out_alone_writes_jsonl(self, capsys, tmp_path, poll_file,
+                                          command, span):
+        # --trace-out without --trace: the CLI makes the tracer and
+        # writes the file itself.
+        stream = tmp_path / "ops.txt"
+        stream.write_text("+ Likes 'dan' 'mons'\n")
+        extra = {
+            "certain": [],
+            "answers": ["--free", "p"],
+            "watch": ["--free", "p", "--stream", str(stream)],
+            "analyze": ["--free", "p"],
+        }[command]
+        out_file = tmp_path / f"{command}.jsonl"
+        assert main([command, QA, "--db", poll_file, *extra,
+                     "--trace-out", str(out_file)]) == 0
+        assert "span records" in capsys.readouterr().err
+        assert out_file.stat().st_size > 0
+        assert span in {r["name"] for r in read_jsonl(str(out_file))}
 
     def test_watch_trace_out(self, capsys, tmp_path, poll_file):
         stream = tmp_path / "ops.txt"

@@ -2,15 +2,16 @@
 
 The same frozen dataclass travels two ways — positionally into
 ``certain``/``certain_answers`` and as the JSON body of a ``repro serve``
-request — so these tests pin its three fields, validation, coercion,
-wire round-trip, the ``REPRO_TRACE_FILE`` env fallback, and that it is
-the engine's only way in: the old ``method=``/``jobs=``/``config=``
-keywords are gone.
+request — so these tests pin its two fields against the wire schema,
+validation, coercion, wire round-trip, and that it is the engine's only
+way in: the old ``method=``/``jobs=``/``config=`` keywords are gone.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import pathlib
 import warnings
 
 import pytest
@@ -19,19 +20,21 @@ from repro.core.parser import parse_query
 from repro.cqa.engine import CertaintyEngine
 from repro.db.database import Database
 from repro.core.atoms import RelationSchema
-from repro.obs import ExecutionOptions, OptionsError, Tracer
+from repro.obs import KNOWN_METHODS, ExecutionOptions, OptionsError
+
+SERVE_SCHEMA = (pathlib.Path(__file__).resolve().parents[1]
+                / "docs" / "serve.schema.json")
 
 
 class TestConstruction:
-    def test_exactly_four_fields(self):
+    def test_exactly_two_fields(self):
         names = [f.name for f in dataclasses.fields(ExecutionOptions)]
-        assert names == ["method", "jobs", "trace_file"]
+        assert names == ["method", "jobs"]
 
     def test_defaults(self):
         opts = ExecutionOptions()
         assert opts.method == "auto"
         assert opts.jobs is None
-        assert opts.trace_file is None
         assert opts.resolved_method == "auto"
 
     def test_frozen(self):
@@ -107,8 +110,7 @@ class TestWireRoundTrip:
         assert ExecutionOptions().to_dict() == {"method": "auto"}
 
     def test_round_trip_preserves_everything(self):
-        opts = ExecutionOptions(method="parallel", jobs=4,
-                                trace_file="spans.jsonl")
+        opts = ExecutionOptions(method="parallel", jobs=4)
         assert ExecutionOptions.from_dict(opts.to_dict()) == opts
 
     def test_replace(self):
@@ -116,30 +118,21 @@ class TestWireRoundTrip:
         assert opts.method == "sql"
 
 
-class TestFromEnv:
-    """``from_env`` is the one reader of ``REPRO_TRACE_FILE``."""
+class TestWireSchema:
+    """``docs/serve.schema.json`` pins the wire form: the object and
+    the schema list the same fields, and the same method names."""
 
-    def test_reads_trace_file(self):
-        opts = ExecutionOptions.from_env({"REPRO_TRACE_FILE": "/tmp/t.jsonl"},
-                                         method="sql")
-        assert opts.trace_file == "/tmp/t.jsonl"
-        assert opts.method == "sql"
-        assert opts.tracing is True  # a trace file implies tracing
+    @staticmethod
+    def _options_schema():
+        return json.loads(SERVE_SCHEMA.read_text())["$defs"]["options"]
 
-    def test_defaults_without_env(self):
-        opts = ExecutionOptions.from_env({"REPRO_TRACE_FILE": "  "})
-        assert opts == ExecutionOptions()
-        assert opts.tracing is False
-        assert opts.make_tracer() is None
+    def test_schema_properties_are_the_fields(self):
+        names = [f.name for f in dataclasses.fields(ExecutionOptions)]
+        assert list(self._options_schema()["properties"]) == names
 
-    def test_overrides_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_FILE", "env.jsonl")
-        assert ExecutionOptions.from_env(trace_file="cli.jsonl").trace_file \
-            == "cli.jsonl"
-        # A None override keeps the env-derived value.
-        opts = ExecutionOptions.from_env(trace_file=None)
-        assert opts.trace_file == "env.jsonl"
-        assert isinstance(opts.make_tracer(), Tracer)
+    def test_schema_method_enum_is_known_methods(self):
+        enum = self._options_schema()["properties"]["method"]["enum"]
+        assert tuple(enum) == KNOWN_METHODS
 
 
 class TestLegacyShims:

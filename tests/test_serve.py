@@ -24,6 +24,7 @@ from repro.core.terms import Variable
 from repro.cqa.certain_answers import OpenQuery, certain_answers
 from repro.cqa.engine import CertaintyEngine
 from repro.db.database import Database
+from repro.obs import read_jsonl
 from repro.obs.schema import validate
 from repro.serve import ReproServer, answers_digest
 from repro.storage import PersistentDatabase
@@ -220,6 +221,18 @@ class TestErrors:
             "/v1/certain", {"query": FO_QUERY, "options": {"trace": True}})
         assert status == 400 and body["error"]["code"] == "bad-options"
 
+    def test_wire_trace_file_rejected(self, served, tmp_path):
+        # Only the operator picks a trace sink (ReproServer(trace_file=)):
+        # a client naming one gets the unknown-field 400, and nothing
+        # is written to the path it named.
+        target = tmp_path / "client.jsonl"
+        status, body = served.post(
+            "/v1/certain", {"query": FO_QUERY,
+                            "options": {"trace_file": str(target)}})
+        assert status == 400 and body["error"]["code"] == "bad-options"
+        assert "trace_file" in body["error"]["message"]
+        assert not target.exists()
+
     def test_unknown_body_field_400(self, served):
         status, body = served.post(
             "/v1/certain", {"query": FO_QUERY, "methods": "sql"})
@@ -243,6 +256,29 @@ class TestErrors:
         assert status == 400
         _, health = served.get("/v1/healthz")
         assert health["facts"] == seeded_db().size()  # nothing applied
+
+
+class TestTraceFile:
+    def test_one_span_tree_per_request(self, tmp_path):
+        out = tmp_path / "serve.jsonl"
+        requests = [
+            ("/v1/certain", {"query": FO_QUERY}),
+            ("/v1/answers", {"query": FO_QUERY, "free": ["x"]}),
+            ("/v1/certain", {"query": "P(x |"}),  # an error is traced too
+        ]
+        with ServerHandle(seeded_db(), trace_file=str(out)) as handle:
+            ids = [handle.post(path, payload)[1]["request_id"]
+                   for path, payload in requests]
+        records = read_jsonl(str(out))
+        roots = [r for r in records if r["depth"] == 0]
+        trees = [r for r in roots if r["name"] == "serve-request"]
+        assert [r["tags"]["request_id"] for r in trees] == ids
+        assert [r["tags"]["endpoint"] for r in trees] == [
+            f"POST {path}" for path, _ in requests]
+        responses = [r for r in roots if r["name"] == "serve-response"]
+        assert [(r["tags"]["request_id"], r["tags"]["status"])
+                for r in responses] == list(zip(ids, [200, 200, 400]))
+        assert len(roots) == 2 * len(requests)
 
 
 class TestFactsAndViews:

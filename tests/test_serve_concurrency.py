@@ -33,6 +33,7 @@ from repro.core.atoms import RelationSchema
 from repro.core.parser import parse_query
 from repro.core.terms import Variable
 from repro.cqa.certain_answers import OpenQuery, certain_answers
+from repro.incremental import view_manager
 from repro.serve import answers_digest
 from repro.serve.app import _RWLock
 from repro.storage import PersistentDatabase
@@ -231,7 +232,8 @@ def test_stale_long_poll_window_is_refused(tmp_path):
     db = PersistentDatabase(tmp_path / "store")
     db.add_relation(RelationSchema("A", 2, 1))
     db.add_relation(RelationSchema("B", 2, 1))
-    with ServerHandle(db, history_limit=2) as handle:
+    view_manager(db).history_limit = 2
+    with ServerHandle(db) as handle:
         status, body = handle.post("/v1/views", {
             "name": "tiny", "query": GROWTH_QUERY, "free": ["x"]})
         first_version = body["version"]
