@@ -67,7 +67,9 @@ class Database:
         self._versions[schema.name] = 0
 
     def add(self, relation: str, row: Sequence) -> None:
-        """Add the fact relation(row) to the database."""
+        """Add the fact relation(row) to the database.  Values must be
+        strings, integers that are not booleans, or tuples of values
+        (:mod:`repro.db.io`); this ingest hot path does not check them."""
         schema = self.schemas.get(relation)
         if schema is None:
             raise SchemaError(f"unknown relation {relation!r}; add_relation first")

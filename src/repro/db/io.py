@@ -10,16 +10,18 @@ Format::
       }
     }
 
-Values may be strings, integers, booleans, or (nested) lists — lists
-are converted to tuples on load, mirroring the structured constants
-used by the reduction gadgets.
+A value is a string, an integer, or a (nested) list of values — lists
+become tuples on load, mirroring the structured constants used by the
+reduction gadgets.  Booleans and ``null`` are refused: Python holds
+``True == 1``, so a boolean would merge with an integer fact.  The
+serve wire and the store's view manifests use this same codec.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import IO, Union
+from typing import IO, Any, Iterable, List, Tuple, Union
 
 from ..core.atoms import RelationSchema
 from .database import Database
@@ -27,20 +29,39 @@ from .database import Database
 PathLike = Union[str, pathlib.Path]
 
 
-def _freeze(value):
-    if isinstance(value, list):
-        return tuple(_freeze(v) for v in value)
-    if isinstance(value, (str, int, bool)) or value is None:
+def value_from_json(value: Any) -> Any:
+    """A decoded JSON value as a database value (lists become tuples);
+    :class:`ValueError` names anything outside the domain."""
+    kind = type(value)
+    if kind is str or kind is int:
         return value
-    raise TypeError(f"unsupported value in database JSON: {value!r}")
+    if kind is list:
+        return tuple(value_from_json(v) for v in value)
+    raise ValueError(f"unsupported value {value!r}: a value is a string, "
+                     "an integer or a list of values")
 
 
-def _thaw(value):
-    if isinstance(value, tuple):
-        return [_thaw(v) for v in value]
-    if isinstance(value, (str, int, bool)):
+def value_to_json(value: Any) -> Any:
+    """A database value as a JSON-ready value (tuples become lists)."""
+    kind = type(value)
+    if kind is str or kind is int:
         return value
+    if kind is tuple:
+        return [value_to_json(v) for v in value]
     raise TypeError(f"unsupported value in database: {value!r}")
+
+
+def row_from_json(row: Any) -> Tuple:
+    """A decoded JSON row (an array of values) as a database row."""
+    if type(row) is not list:
+        raise ValueError(f"a row must be a JSON array, got {row!r}")
+    return value_from_json(row)
+
+
+def rows_to_json(rows: Iterable[Tuple]) -> List[List[Any]]:
+    """The canonical JSON form of a set of rows: converted values, sorted
+    by ``repr`` (a total order that depends only on the set)."""
+    return sorted(map(value_to_json, rows), key=repr)
 
 
 def database_to_dict(db: Database) -> dict:
@@ -51,10 +72,7 @@ def database_to_dict(db: Database) -> dict:
         relations[name] = {
             "arity": schema.arity,
             "key": schema.key_size,
-            "facts": sorted(
-                ([_thaw(v) for v in row] for row in db.facts(name)),
-                key=repr,
-            ),
+            "facts": rows_to_json(db.facts(name)),
         }
     return {"relations": relations}
 
@@ -68,7 +86,7 @@ def database_from_dict(data: dict) -> Database:
         schema = RelationSchema(name, int(spec["arity"]), int(spec["key"]))
         db.add_relation(schema)
         for row in spec.get("facts", []):
-            db.add(name, tuple(_freeze(v) for v in row))
+            db.add(name, row_from_json(row))
     return db
 
 

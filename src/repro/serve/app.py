@@ -66,8 +66,8 @@ from ..storage.store import write_manifest
 from .http import HttpError, Request, json_body, read_request, response_bytes
 from .protocol import (
     SCHEMA_VERSION,
+    _digest_wire,
     answers_digest,
-    changes_payload,
     error_payload,
     row_from_wire,
     rows_to_wire,
@@ -497,14 +497,17 @@ class ReproServer:
         opts = self._apply_default_jobs(_options_field(body))
         engine = self._engine_for(text)
         variables = tuple(Variable(n) for n in free)
+
+        def answer() -> Tuple[List[List[Any]], str]:
+            wire = rows_to_wire(engine.certain_answers(
+                self.db, variables, opts, tracer=tracer))
+            return wire, _digest_wire(wire)
+
         t0 = time.perf_counter()
         async with self._rw.read_locked():
             clock = self.db.clock
             try:
-                rows = await self._run_read(
-                    lambda: engine.certain_answers(self.db, variables, opts,
-                                                   tracer=tracer)
-                )
+                answers, digest = await self._run_read(answer)
             except NotInFO as exc:
                 raise HttpError(422, "not-in-fo", str(exc))
             except QueryError as exc:
@@ -515,9 +518,9 @@ class ReproServer:
             "method": opts.resolved_method,
             "options": opts.to_dict(),
             "clock": clock,
-            "answers": rows_to_wire(rows),
-            "count": len(rows),
-            "digest": answers_digest(rows),
+            "answers": answers,
+            "count": len(answers),
+            "digest": digest,
             "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
         }
 
@@ -549,19 +552,18 @@ class ReproServer:
                                 f"{relation} has arity {schema.arity}, got "
                                 f"row of length {len(row)}",
                             )
-                    inserted = deleted = 0
                     self.db.begin_batch()
                     try:
                         for sign, relation, row in ops:
                             if sign:
                                 self.db.add(relation, row)
-                                inserted += 1
                             else:
                                 self.db.discard(relation, row)
-                                deleted += 1
                     finally:
-                        self.db.commit()
-                    return inserted, deleted, self.db.clock
+                        deltas = self.db.commit().deltas.values()
+                    return (sum(len(d.inserted) for d in deltas),
+                            sum(len(d.deleted) for d in deltas),
+                            self.db.clock)
 
             inserted, deleted, clock = await self._run_write(apply)
         return {
@@ -649,12 +651,11 @@ class ReproServer:
                     except StaleVersionError as exc:
                         raise HttpError(409, "stale-version", str(exc),
                                         version=version)
-                    payload = changes_payload(ins, dels)
-                    payload.update({
+                    return {
                         "name": name, "since": since, "version": version,
-                        "timed_out": False,
-                    })
-                    return payload
+                        "inserted": rows_to_wire(ins),
+                        "deleted": rows_to_wire(dels), "timed_out": False,
+                    }
             remaining = deadline - time.monotonic()
             closing = self._closing is not None and self._closing.is_set()
             if remaining <= 0 or event is None or closing:
@@ -746,7 +747,7 @@ class ReproServer:
                                 f"ops[{i}].relation must be a string")
             try:
                 row = row_from_wire(spec["row"])
-            except TypeError as exc:
+            except ValueError as exc:
                 raise HttpError(400, "bad-request", f"ops[{i}].row: {exc}")
             out.append((sign in ("+", "add"), relation, row))
         return out

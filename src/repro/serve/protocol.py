@@ -1,12 +1,13 @@
 """Wire encoding shared by the ``repro serve`` daemon and its clients.
 
-Everything that crosses the HTTP boundary goes through here: answer
-rows are (de)serialized with the same rules as the database JSON format
-(:mod:`repro.db.io` — lists become tuples, values are strings /
-integers / booleans / nested lists), and every answer set carries a
-canonical ``sha256:`` digest so clients — and the bench harness — can
-compare a server response against a direct
-:func:`repro.cqa.certain_answers` call without shipping the rows.
+Everything that crosses the HTTP boundary goes through here.  Rows use
+the :mod:`repro.db.io` codec, whose values are strings, integers and
+nested lists, never booleans or ``null`` (:func:`rows_to_wire` and
+:func:`row_from_wire` are its ``rows_to_json`` and ``row_from_json``).
+Every answer set carries a ``sha256:`` digest of the compact JSON of
+exactly its rows, the bytes of a response's ``answers`` array: a client
+can check the rows it received, and the bench harness can compare a
+response with a direct :func:`repro.cqa.certain_answers` call.
 
 The response documents themselves are described by
 ``docs/serve.schema.json``; ``scripts/validate_serve.py`` checks
@@ -18,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..db.io import _freeze, _thaw
+from ..db.io import row_from_json as row_from_wire
+from ..db.io import rows_to_json as rows_to_wire
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -50,38 +52,19 @@ ERROR_CODES = (
 )
 
 
-def rows_to_wire(rows: Iterable[Tuple]) -> List[List[Any]]:
-    """Answer rows as sorted JSON-ready lists (tuples thawed)."""
-    return sorted(([_thaw(v) for v in row] for row in rows), key=repr)
-
-
-def row_from_wire(row: Any) -> Tuple:
-    """One JSON row back into the engine's tuple-of-values form."""
-    if not isinstance(row, list):
-        raise TypeError(f"row must be a JSON array, got {row!r}")
-    return tuple(_freeze(v) for v in row)
-
-
 def answers_digest(rows: Iterable[Tuple]) -> str:
-    """A canonical content digest of an answer set.
+    """The ``sha256:`` digest of an answer set, whatever its row order.
 
-    Order-independent: each row is JSON-encoded compactly, the
-    encodings are sorted, and the newline-joined result is hashed.  The
-    same function runs on both sides of the wire — the server computes
-    it from engine tuples, ``scripts/bench_serve.py`` recomputes it
-    from a direct library call — so equal digests mean equal answers.
-    """
-    lines = sorted(
-        json.dumps([_thaw(v) for v in row], separators=(",", ":"),
-                   sort_keys=True)
-        for row in rows
-    )
-    return "sha256:" + hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    It hashes the compact JSON of :func:`rows_to_wire`'s output.  The
+    server and the benchmarks both call it, so equal digests mean equal
+    answers."""
+    return _digest_wire(rows_to_wire(rows))
 
 
-def wire_digest(rows: Iterable[List[Any]]) -> str:
-    """:func:`answers_digest` for rows already in wire (list) form."""
-    return answers_digest(tuple(row_from_wire(list(r))) for r in rows)
+def _digest_wire(wire_rows: List[List[Any]]) -> str:
+    """:func:`answers_digest` of rows already in :func:`rows_to_wire` form."""
+    text = json.dumps(wire_rows, separators=(",", ":"))
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def error_payload(code: str, message: str, *,
@@ -99,12 +82,3 @@ def error_payload(code: str, message: str, *,
     if request_id is not None:
         payload["request_id"] = request_id
     return payload
-
-
-def changes_payload(inserted: FrozenSet[Tuple],
-                    deleted: FrozenSet[Tuple]) -> Dict[str, List[List[Any]]]:
-    """The ``inserted``/``deleted`` halves of a view-changes response."""
-    return {
-        "inserted": rows_to_wire(inserted),
-        "deleted": rows_to_wire(deleted),
-    }

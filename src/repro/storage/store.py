@@ -50,7 +50,7 @@ from ..core.query import Diseq, Query
 from ..core.terms import Constant, Variable, is_variable
 from ..db.changelog import Changelog
 from ..db.database import BatchError, Database
-from ..db.io import PathLike, _freeze, _thaw
+from ..db.io import PathLike, value_from_json, value_to_json
 from .snapshot import (
     SnapshotError,
     list_snapshots,
@@ -104,13 +104,13 @@ def write_manifest(path: pathlib.Path, document: Dict[str, Any]) -> None:
 def _term_to_dict(term: Any) -> Dict[str, Any]:
     if is_variable(term):
         return {"v": term.name}
-    return {"c": _thaw(term.value)}
+    return {"c": value_to_json(term.value)}
 
 
 def _term_from_dict(spec: Dict[str, Any]) -> Any:
     if "v" in spec:
         return Variable(spec["v"])
-    return Constant(_freeze(spec["c"]))
+    return Constant(value_from_json(spec["c"]))
 
 
 def _atom_to_dict(atom: Atom) -> Dict[str, Any]:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.db.io import (
     database_from_dict,
     database_to_dict,
@@ -17,11 +18,19 @@ from conftest import db_from
 
 class TestRoundTrip:
     def test_simple(self, tmp_path):
-        db = db_from({"R/2/1": [(1, 2), ("a", "b")], "S/1/1": [(True,)]})
+        db = db_from({"R/2/1": [(1, 2), ("a", "b")], "S/1/1": [("t",)]})
         path = tmp_path / "db.json"
         save_database(db, path)
         loaded = load_database_file(path)
         assert loaded == db
+        # A boolean is not a value (True == 1 would merge facts): it is
+        # refused on the way out and on the way in.
+        db.add("S", (True,))
+        with pytest.raises(TypeError, match="True"):
+            save_database(db, path)
+        with pytest.raises(ValueError, match="True"):
+            database_from_dict({"relations": {
+                "S": {"arity": 1, "key": 1, "facts": [["t"], [True]]}}})
 
     def test_tuple_values(self, tmp_path):
         db = db_from({"R/2/1": [(("edge", "a", "b"), 1)]})
@@ -71,3 +80,43 @@ class TestDictFormat:
     def test_deterministic_output(self):
         db = db_from({"R/2/1": [(2, 1), (1, 2)]})
         assert database_to_dict(db) == database_to_dict(db.copy())
+
+
+class TestValueDomain:
+    """A value is a string, an integer that is not a boolean, or a list
+    of values; the JSON boundaries refuse anything else."""
+
+    def test_boolean_beside_integer_refused(self):
+        # True == 1 in Python: accepted, ("a", true) would merge into
+        # ("a", 1), block a would hold one fact, and every method would
+        # answer {a, b} for R(x | y), S(y), although the repair keeping
+        # (a, true) refutes a.
+        data = {"relations": {
+            "R": {"arity": 2, "key": 1,
+                  "facts": [["a", 1], ["a", True], ["b", 1]]},
+            "S": {"arity": 1, "key": 1, "facts": [[1]]},
+        }}
+        with pytest.raises(ValueError, match="True"):
+            database_from_dict(data)
+
+    @pytest.mark.parametrize("value", [None, 1.5, {"k": 1}, [1, [False]]])
+    def test_other_values_refused(self, value):
+        data = {"relations": {
+            "R": {"arity": 2, "key": 1, "facts": [["z", value]]}}}
+        with pytest.raises(ValueError, match="unsupported value"):
+            database_from_dict(data)
+
+    def test_row_must_be_a_list(self):
+        data = {"relations": {"R": {"arity": 2, "key": 1, "facts": ["ab"]}}}
+        with pytest.raises(ValueError, match="JSON array"):
+            database_from_dict(data)
+
+    def test_cli_reports_a_refused_value(self, tmp_path, capsys):
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"relations": {
+            "R": {"arity": 2, "key": 1, "facts": [["a", 1.5]]},
+            "S": {"arity": 1, "key": 1, "facts": []},
+        }}))
+        assert main(["certain", "R(x | y), S(y)", "--db", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unsupported value 1.5")

@@ -1,16 +1,19 @@
-"""Hypothesis round-trip properties: value codec, database JSON,
-query text."""
+"""Hypothesis round-trip properties: value codec, database JSON, the
+serve wire encoding, query text."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import example, given, settings
 
 from repro.core.atoms import RelationSchema
 from repro.db.database import Database
 from repro.db.io import database_from_dict, database_to_dict
 from repro.fo.sql import decode_value, encode_value
+from repro.serve.protocol import answers_digest, row_from_wire, rows_to_wire
 
 # ----------------------------------------------------------------------
-# values: strings, ints, bools, nested tuples
+# values: strings, ints, nested tuples (the JSON domain); the SQL codec
+# also carries bools
 # ----------------------------------------------------------------------
 
 #: Strings whose *content* mimics the codec's own wire format: tag
@@ -20,7 +23,7 @@ sigil_colliders = st.sampled_from([
     "i:5", "s:x", "b:1", "t:a,b", "t:a%2Cb", "%25", "%2C",
     "i:", "t:", ",", "s:s:nested", "b:0",
 ])
-scalar = st.one_of(
+json_scalar = st.one_of(
     st.text(max_size=8),
     st.text(
         alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x2FFF),
@@ -28,10 +31,15 @@ scalar = st.one_of(
     ),
     sigil_colliders,
     st.integers(min_value=-10**6, max_value=10**6),
-    st.booleans(),
 )
+scalar = st.one_of(json_scalar, st.booleans())
 values = st.recursive(
     scalar,
+    lambda child: st.lists(child, max_size=3).map(tuple),
+    max_leaves=6,
+)
+json_values = st.recursive(
+    json_scalar,
     lambda child: st.lists(child, max_size=3).map(tuple),
     max_leaves=6,
 )
@@ -65,16 +73,36 @@ def test_encode_injective(a, b):
 # database JSON
 # ----------------------------------------------------------------------
 
-rows2 = st.lists(st.tuples(scalar, scalar), max_size=5)
+rows2 = st.lists(st.tuples(json_scalar, json_scalar), max_size=5)
 
 
-@given(rows2, st.integers(min_value=1, max_value=2))
+@given(rows2, st.integers(min_value=1, max_value=2), st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_database_json_roundtrip(rows, key_size):
+def test_database_json_roundtrip(rows, key_size, flag):
     db = Database([RelationSchema("R", 2, key_size)])
     for row in rows:
         db.add("R", row)
-    assert database_from_dict(database_to_dict(db)) == db
+    data = database_to_dict(db)
+    assert database_from_dict(data) == db
+    # A boolean is outside the domain: loading refuses it.
+    data["relations"]["R"]["facts"].append(["k", flag])
+    with pytest.raises(ValueError, match=repr(flag)):
+        database_from_dict(data)
+
+
+# ----------------------------------------------------------------------
+# serve wire: one canonical encoding of a row set
+# ----------------------------------------------------------------------
+
+
+@given(st.sets(st.tuples(json_values, json_values), max_size=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_wire_encoding_is_canonical(rows, data):
+    shuffled = data.draw(st.permutations(list(rows)))
+    wire = rows_to_wire(rows)
+    assert rows_to_wire(shuffled) == wire
+    assert answers_digest(shuffled) == answers_digest(rows)
+    assert {row_from_wire(row) for row in wire} == rows
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ against ``docs/serve.schema.json`` with the in-tree validator.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import http.client
 import json
 import pathlib
@@ -26,7 +27,7 @@ from repro.cqa.engine import CertaintyEngine
 from repro.db.database import Database
 from repro.obs import read_jsonl
 from repro.obs.schema import validate
-from repro.serve import ReproServer, answers_digest
+from repro.serve import ReproServer, answers_digest, rows_to_wire
 from repro.storage import PersistentDatabase
 
 FO_QUERY = "P(x | y), not N('c' | y)"       # acyclic: every method works
@@ -147,6 +148,10 @@ class TestQueryEndpoints:
             check_shape(body, "answers_response")
             assert body["digest"] == expected, method
             assert body["count"] == len(oracle)
+            # The digest hashes the bytes of the response's own rows.
+            compact = json.dumps(body["answers"], separators=(",", ":"))
+            assert body["digest"] == "sha256:" + hashlib.sha256(
+                compact.encode("utf-8")).hexdigest()
 
     def test_boolean_answers_over_sql(self, served):
         # free defaults to [] on the wire: the Boolean form must run on
@@ -188,6 +193,22 @@ class TestQueryEndpoints:
             assert ids == sorted(ids)
         finally:
             conn.close()
+
+
+class TestWireEncoding:
+    ROWS = [("a", 12), ("a", 1), (2, ("edge", "x", 3)), ("b", "1"), (10, "a")]
+
+    def test_pinned_digest_in_any_input_order(self):
+        # Mixed int/str columns, a nested tuple, and 1 vs 12: the
+        # canonical form (sorted by repr of the JSON lists) and its
+        # digest are fixed, whatever order the rows arrive in.
+        for rows in (self.ROWS, list(reversed(self.ROWS))):
+            assert rows_to_wire(rows) == [
+                ["a", 12], ["a", 1], ["b", "1"], [10, "a"],
+                [2, ["edge", "x", 3]]]
+            assert answers_digest(rows) == (
+                "sha256:b5f67fba4e20b55ede0689321b8ae0bc"
+                "c057ecd355aae202d2a8d8de12dd99e5")
 
 
 class TestErrors:
@@ -257,6 +278,24 @@ class TestErrors:
         _, health = served.get("/v1/healthz")
         assert health["facts"] == seeded_db().size()  # nothing applied
 
+    def test_boolean_value_rejected_atomically(self, served):
+        # True == 1 in Python: the store would keep one of these facts.
+        status, body = served.post("/v1/facts", {"ops": [
+            {"op": "+", "relation": "P", "row": ["q", 1]},
+            {"op": "+", "relation": "P", "row": ["q", True]}]})
+        assert status == 400 and body["error"]["code"] == "bad-request"
+        assert "True" in body["error"]["message"]
+        _, health = served.get("/v1/healthz")
+        assert health["facts"] == seeded_db().size()
+
+    def test_null_value_rejected(self, served):
+        status, body = served.post("/v1/facts", {"ops": [
+            {"op": "+", "relation": "P", "row": ["z", None]}]})
+        assert status == 400 and body["error"]["code"] == "bad-request"
+        status, body = served.post(
+            "/v1/answers", {"query": FO_QUERY, "free": ["x"]})
+        assert status == 200, body
+
 
 class TestTraceFile:
     def test_one_span_tree_per_request(self, tmp_path):
@@ -304,6 +343,18 @@ class TestFactsAndViews:
         _, answers = served.post(
             "/v1/answers", {"query": FO_QUERY, "free": ["x"]})
         assert answers["digest"] == answers_digest(expected)
+
+    def test_facts_counts_are_net_changes(self, served):
+        def counts(ops):
+            status, body = served.post("/v1/facts", {"ops": [
+                {"op": op, "relation": "P", "row": row} for op, row in ops]})
+            assert status == 200, body
+            assert body["applied"] == len(ops)
+            return body["inserted"], body["deleted"]
+
+        assert counts([("+", ["h", "i"]), ("+", ["h", "i"])]) == (1, 0)
+        assert counts([("+", ["a", "b"])]) == (0, 0)  # already stored
+        assert counts([("+", ["j", "k"]), ("-", ["j", "k"])]) == (0, 0)
 
     def test_view_lifecycle_and_long_poll(self, served):
         status, body = served.post("/v1/views", {
